@@ -77,6 +77,11 @@ VbsSimulator::VbsSimulator(const netlist::Netlist& nl, VbsOptions options,
     cload_.push_back(cl);
   }
   topo_ = nl_.topo_order();
+  for (const netlist::Gate& gate : nl_.gates()) {
+    const bool small = gate.fanins.size() <= 6;
+    gate_tt_.push_back(small ? gate.pulldown.truth_table() : 0);
+    gate_tt_ok_.push_back(small ? 1 : 0);
+  }
 }
 
 VbsResult VbsSimulator::run(const std::vector<bool>& v0, const std::vector<bool>& v1) const {

@@ -188,6 +188,12 @@ class VbsSimulator {
   std::vector<double> beta_p_;
   std::vector<double> cload_;
   std::vector<int> topo_;
+  // Pulldown truth tables (SpExpr::truth_table) for the batch kernel's
+  // logic settling and re-evaluation, for gates with <= 6 fanins; wider
+  // gates (gate_tt_ok_[g] == 0) keep the expression walk.  Built here
+  // because a gate's function is fixed for the netlist's lifetime.
+  std::vector<std::uint64_t> gate_tt_;
+  std::vector<std::uint8_t> gate_tt_ok_;
 };
 
 }  // namespace mtcmos::core

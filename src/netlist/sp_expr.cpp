@@ -54,6 +54,27 @@ bool SpExpr::conducts(const std::vector<bool>& pins) const {
   return false;
 }
 
+std::uint64_t SpExpr::truth_table() const {
+  // Column of pin p over the 64 assignments: bit m is bit p of m.
+  static constexpr std::uint64_t kPin[6] = {0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull,
+                                            0xF0F0F0F0F0F0F0F0ull, 0xFF00FF00FF00FF00ull,
+                                            0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  std::uint64_t acc = 0;
+  switch (kind_) {
+    case Kind::kInput:
+      require(pin_ < 6, "SpExpr::truth_table: pin index out of range");
+      return kPin[pin_];
+    case Kind::kSeries:
+      acc = ~std::uint64_t{0};
+      for (const SpExpr& c : children_) acc &= c.truth_table();
+      return acc;
+    case Kind::kParallel:
+      for (const SpExpr& c : children_) acc |= c.truth_table();
+      return acc;
+  }
+  return acc;
+}
+
 int SpExpr::max_depth() const {
   switch (kind_) {
     case Kind::kInput:

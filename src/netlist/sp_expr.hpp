@@ -12,6 +12,7 @@
 //     (worst-case stack depth -> effective W/L, pin occurrence counts ->
 //     input capacitance, top-adjacency -> output junction capacitance).
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -35,6 +36,10 @@ class SpExpr {
 
   /// Does the network conduct for the given pin values?
   bool conducts(const std::vector<bool>& pins) const;
+
+  /// conducts() for every assignment at once: bit m is set iff the
+  /// network conducts when pin p carries bit p of m.  Pins must be < 6.
+  std::uint64_t truth_table() const;
 
   /// Worst-case series stack depth (1 for a bare literal).
   int max_depth() const;

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "models/technology.hpp"
 #include "netlist/bits.hpp"
 #include "netlist/expand.hpp"
@@ -46,6 +50,19 @@ TEST(SpExpr, ParallelIsOr) {
   EXPECT_FALSE(e.conducts({false, false}));
   EXPECT_EQ(e.max_depth(), 1);
   EXPECT_EQ(e.top_adjacency(), 2);
+}
+
+TEST(SpExpr, TruthTableMatchesConducts) {
+  const SpExpr e = SpExpr::parallel(
+      {SpExpr::series({SpExpr::input(0), SpExpr::input(1)}),
+       SpExpr::series({SpExpr::parallel({SpExpr::input(2), SpExpr::input(5)}), SpExpr::input(3)})});
+  const std::uint64_t tt = e.truth_table();
+  for (int m = 0; m < 64; ++m) {
+    std::vector<bool> pins(6);
+    for (int p = 0; p < 6; ++p) pins[static_cast<std::size_t>(p)] = ((m >> p) & 1) != 0;
+    EXPECT_EQ(((tt >> m) & 1u) != 0, e.conducts(pins)) << "m=" << m;
+  }
+  EXPECT_THROW(SpExpr::input(6).truth_table(), std::invalid_argument);
 }
 
 TEST(SpExpr, DualSwapsSeriesParallel) {

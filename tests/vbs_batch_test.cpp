@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/vbs_batch.hpp"
 #include "models/sleep_transistor.hpp"
 #include "models/technology.hpp"
+#include "netlist/netlist.hpp"
 #include "sizing/checkpoint.hpp"
 #include "sizing/session.hpp"
 #include "sizing/sizing.hpp"
@@ -49,15 +51,14 @@ std::vector<VbsBatchItem> make_items(const std::vector<VectorPair>& pairs) {
   return items;
 }
 
-/// Runs the batch kernel in chunks of `batch` and requires every lane to
-/// equal the scalar critical_delay bit-for-bit.
+/// Runs the batch kernel in chunks of `batch` through workspace `bws` and
+/// requires every lane to equal the scalar critical_delay bit-for-bit.
 void expect_bit_identical(const VbsSimulator& sim, const std::vector<VectorPair>& pairs,
                           const std::vector<std::string>& outs, std::size_t batch,
-                          BatchKernel kernel = BatchKernel::kCohort) {
-  const VbsBatchSimulator batch_sim(sim, kernel);
+                          VbsBatchWorkspace& bws) {
+  const VbsBatchSimulator batch_sim(sim);
   const std::vector<VbsBatchItem> items = make_items(pairs);
   std::vector<VbsLaneResult> results(items.size());
-  VbsBatchWorkspace bws;
   for (std::size_t off = 0; off < items.size(); off += batch) {
     const std::size_t n = std::min(batch, items.size() - off);
     batch_sim.critical_delays(items.data() + off, n, outs, bws, results.data() + off);
@@ -72,6 +73,18 @@ void expect_bit_identical(const VbsSimulator& sim, const std::vector<VectorPair>
   }
 }
 
+void expect_bit_identical(const VbsSimulator& sim, const std::vector<VectorPair>& pairs,
+                          const std::vector<std::string>& outs, std::size_t batch) {
+  VbsBatchWorkspace bws;
+  expect_bit_identical(sim, pairs, outs, batch, bws);
+}
+
+std::vector<bool> random_bits(mtcmos::Rng& rng, std::size_t n) {
+  std::vector<bool> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = rng.coin();
+  return v;
+}
+
 TEST(VbsBatch, BitIdenticalAcrossBatchSizes) {
   const AdderFixture fx;
   VbsOptions opt;
@@ -80,45 +93,11 @@ TEST(VbsBatch, BitIdenticalAcrossBatchSizes) {
   // Subsample for the small sizes; the full sweep runs once at 64.
   std::vector<VectorPair> sample;
   for (std::size_t i = 0; i < fx.pairs.size(); i += 17) sample.push_back(fx.pairs[i]);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}}) {
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
     expect_bit_identical(sim, sample, fx.outs, batch);
   }
   expect_bit_identical(sim, fx.pairs, fx.outs, 64);
   expect_bit_identical(sim, fx.pairs, fx.outs, fx.pairs.size());  // full sweep, one batch
-}
-
-TEST(VbsBatch, BitIdenticalForEveryKernel) {
-  // Every BatchKernel variant replays the scalar FP sequence exactly --
-  // the lockstep reference, the branchless SIMD passes, and the cohort
-  // scheduler's compaction/skipping must not change a single bit.
-  const AdderFixture fx;
-  VbsOptions opt;
-  opt.sleep_resistance = SleepTransistor(tech07(), 8.0).reff();
-  const VbsSimulator sim(fx.adder.netlist, opt);
-  std::vector<VectorPair> sample;
-  for (std::size_t i = 0; i < fx.pairs.size(); i += 17) sample.push_back(fx.pairs[i]);
-  for (const BatchKernel kernel :
-       {BatchKernel::kLockstep, BatchKernel::kSimd, BatchKernel::kCohort}) {
-    SCOPED_TRACE(static_cast<int>(kernel));
-    expect_bit_identical(sim, sample, fx.outs, 32, kernel);
-  }
-  // The extension everything-on config through each variant too: the
-  // general-alpha solve and reverse-conduction paths diverge most.
-  VbsOptions all;
-  all.sleep_resistance = SleepTransistor(tech07(), 6.0).reff();
-  all.body_effect = true;
-  all.virtual_ground_cap = 5e-12;
-  all.reverse_conduction = true;
-  all.alpha = 1.5;
-  all.input_slope_factor = 0.2;
-  const VbsSimulator sim_all(fx.adder.netlist, all);
-  std::vector<VectorPair> thin;
-  for (std::size_t i = 0; i < fx.pairs.size(); i += 41) thin.push_back(fx.pairs[i]);
-  for (const BatchKernel kernel :
-       {BatchKernel::kLockstep, BatchKernel::kSimd, BatchKernel::kCohort}) {
-    SCOPED_TRACE(static_cast<int>(kernel));
-    expect_bit_identical(sim_all, thin, fx.outs, 32, kernel);
-  }
 }
 
 TEST(VbsBatch, RandomizedMixedSettleVectorsAreBitIdentical) {
@@ -132,24 +111,42 @@ TEST(VbsBatch, RandomizedMixedSettleVectorsAreBitIdentical) {
   opt.sleep_resistance = SleepTransistor(tech07(), 8.0).reff();
   const VbsSimulator sim(fx.adder.netlist, opt);
   mtcmos::Rng rng(20260807);
-  const auto random_bits = [&](std::size_t n) {
-    std::vector<bool> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = rng.coin();
-    return v;
-  };
   std::vector<VectorPair> pairs;
   for (int i = 0; i < 160; ++i) {
     VectorPair p;
-    p.v0 = random_bits(6);
-    p.v1 = (i % 9 == 0) ? p.v0 : random_bits(6);  // some no-op transitions
+    p.v0 = random_bits(rng, 6);
+    p.v1 = (i % 9 == 0) ? p.v0 : random_bits(rng, 6);  // some no-op transitions
     pairs.push_back(std::move(p));
   }
-  for (const BatchKernel kernel :
-       {BatchKernel::kLockstep, BatchKernel::kSimd, BatchKernel::kCohort}) {
-    SCOPED_TRACE(static_cast<int>(kernel));
-    // A chunk size that does not divide the set exercises the tail chunk.
-    expect_bit_identical(sim, pairs, fx.outs, 48, kernel);
+  // A chunk size that does not divide the set exercises the tail chunk.
+  expect_bit_identical(sim, pairs, fx.outs, 48);
+}
+
+TEST(VbsBatch, WideInputSettleIsBitIdentical) {
+  // More than 64 primary inputs: v0 groups no longer fit a packed u64
+  // key, so they are matched by full vector compares and every new group
+  // is settled from scratch instead of from its Hamming-nearest neighbor.
+  const circuits::RippleAdder adder = make_ripple_adder(tech07(), 33);
+  const std::size_t n_in = adder.netlist.inputs().size();
+  ASSERT_EQ(n_in, 66u);
+  std::vector<std::string> outs;
+  for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
+  outs.push_back(adder.netlist.net_name(adder.cout));
+  VbsOptions opt;
+  opt.sleep_resistance = SleepTransistor(tech07(), 8.0).reff();
+  const VbsSimulator sim(adder.netlist, opt);
+  mtcmos::Rng rng(20261017);
+  std::vector<VectorPair> pairs;
+  for (int i = 0; i < 200; ++i) {
+    VectorPair p;
+    // Every fourth v0 repeats an earlier one, so groups recur across and
+    // within chunks.
+    p.v0 = (i % 4 == 3) ? pairs[rng.uniform_int(0, pairs.size() - 1)].v0
+                        : random_bits(rng, n_in);
+    p.v1 = (i % 9 == 0) ? p.v0 : random_bits(rng, n_in);  // some no-op transitions
+    pairs.push_back(std::move(p));
   }
+  expect_bit_identical(sim, pairs, outs, 48);
 }
 
 TEST(VbsBatch, BitIdenticalForEveryExtension) {
@@ -203,6 +200,35 @@ TEST(VbsBatch, BitIdenticalForEveryExtension) {
     SCOPED_TRACE(name);
     const VbsSimulator sim(fx.adder.netlist, opt);
     expect_bit_identical(sim, sample, fx.outs, 32);
+  }
+  // A second, sparser sample through the everything-on config, where the
+  // general-alpha solve and reverse-conduction paths diverge most.
+  std::vector<VectorPair> thin;
+  for (std::size_t i = 0; i < fx.pairs.size(); i += 41) thin.push_back(fx.pairs[i]);
+  const VbsSimulator sim_all(fx.adder.netlist, variants.back().second);
+  expect_bit_identical(sim_all, thin, fx.outs, 32);
+}
+
+TEST(VbsBatch, ReusedWorkspaceFollowsEachNetlist) {
+  // One workspace outlives the netlists it evaluates (the VBS backend
+  // keeps one per thread).  A NOR2 built in the storage a NAND2 just
+  // vacated has the same address and gate count but the opposite gate
+  // function; its lanes must still match its own scalar path.
+  std::optional<netlist::Netlist> slot;
+  VbsBatchWorkspace bws;
+  VbsOptions opt;
+  opt.sleep_resistance = 1500.0;
+  const std::vector<VectorPair> pairs = sizing::all_vector_pairs(2);
+  for (const bool nand : {true, false}) {
+    SCOPED_TRACE(nand ? "nand2" : "nor2");
+    slot.reset();
+    slot.emplace(tech07());
+    const netlist::NetId a = slot->add_input("a");
+    const netlist::NetId b = slot->add_input("b");
+    const netlist::NetId y = nand ? slot->add_nand2("g", a, b) : slot->add_nor2("g", a, b);
+    slot->add_load(y, 20e-15);
+    const VbsSimulator sim(*slot, opt);
+    expect_bit_identical(sim, pairs, {slot->net_name(y)}, 16, bws);
   }
 }
 
