@@ -604,6 +604,9 @@ class DaemonImpl {
     {
       const std::lock_guard<std::mutex> lock(active_mutex_);
       active_ = active;
+      // A cancel-drain that began after executor_loop's check found no
+      // active request to cancel; catch it here, under the same lock.
+      if (cancel_drain_.load()) active->token.request();
     }
     const std::size_t store_before = store_.journal().size();
     std::string done_fields;

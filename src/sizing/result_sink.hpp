@@ -4,8 +4,8 @@
 // Historically every sweep returned a materialized vector of rows, which
 // caps a campaign at whatever fits in RAM.  The entry points in
 // session.hpp now *emit* each measured row into a ResultSink during their
-// serial input-order reduction; "return a vector" is just what the
-// legacy shims build from a MemorySink afterwards (bit-for-bit the old
+// serial input-order reduction; "return a vector" is just what
+// rank_vectors builds from a MemorySink afterwards (bit-for-bit the old
 // values), while campaign-scale callers plug in a ColumnarSpillSink and
 // never hold more than a block of rows in memory.
 //
@@ -44,7 +44,7 @@ class ResultSink {
   /// One ranked-sweep measurement (rank_vectors).  Every successfully
   /// measured row is emitted, including non-switching ones
   /// (delay <= 0) -- consumers filter, so a streaming consumer sees the
-  /// same universe the legacy return-value filter saw.
+  /// same universe rank_vectors' return-value filter sees.
   virtual void on_delay(const std::string& key, const VectorDelay& row) = 0;
 
   /// One scalar measurement (bisection probe degradation, search score,
@@ -55,9 +55,9 @@ class ResultSink {
   virtual void flush() {}
 };
 
-/// Collects emissions in order; the in-RAM sink behind the legacy
-/// return-a-vector shims and the reference half of streaming-equivalence
-/// tests.
+/// Collects emissions in order; the in-RAM sink behind the
+/// return-a-vector entry points and the reference half of
+/// streaming-equivalence tests.
 class MemorySink final : public ResultSink {
  public:
   struct DelayRow {
@@ -115,7 +115,7 @@ class ColumnarSpillSink final : public ResultSink {
   util::ColumnarWriter& writer_;
 };
 
-/// Fans every emission out to two sinks (legacy shim collecting into a
+/// Fans every emission out to two sinks (rank_vectors collecting into a
 /// MemorySink while the session's spill sink also observes the sweep).
 class TeeSink final : public ResultSink {
  public:

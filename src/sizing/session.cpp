@@ -91,21 +91,44 @@ class Watchdog {
   std::multiset<double> lower_, upper_;
 };
 
-// Everything run_item needs, resolved once per entry-point call.
-struct SweepCtx {
-  const SweepPolicy& policy;
-  const Deadline& deadline;
-  util::CancelToken& cancel;
-  Checkpoint* checkpoint;  // nullptr or unarmed-stripped
-  Watchdog* watchdog;      // nullptr = disabled
-};
+// Everything an entry-point call resolves from its session, once: the
+// report (the caller's, or a scratch one that discards outcomes), the
+// pool, the wall-clock deadline, the cancel token, the checkpoint
+// (stripped to null unless armed, so the hot path tests one pointer) and
+// the optional watchdog.
+struct RunCtx {
+  explicit RunCtx(const EvalSession& s)
+      : session(s),
+        report(s.report != nullptr ? *s.report : scratch),
+        pool(s.pool_ref()),
+        deadline(Deadline::start(s.deadline_s)),
+        cancel(s.cancel_ref()),
+        checkpoint(s.checkpoint != nullptr && s.checkpoint->armed() ? s.checkpoint : nullptr) {
+    if (s.watchdog.armed()) watchdog.emplace(s.watchdog);
+  }
 
-// Resolve the session checkpoint to "armed or null", so the hot path
-// tests one pointer.
-Checkpoint* armed_checkpoint(const EvalSession& session) {
-  return session.checkpoint != nullptr && session.checkpoint->armed() ? session.checkpoint
-                                                                      : nullptr;
-}
+  /// The serial reduction's per-item step: record item `index`'s outcome
+  /// in the report and return whether it succeeded.  A failure is
+  /// rethrown unless the session policy isolates it.
+  template <typename T>
+  bool admit(std::size_t index, const Outcome<T>& outcome) {
+    report.add(index, outcome);
+    if (outcome.ok()) return true;
+    if (!session.policy.isolate) throw NumericalError(outcome.failure);
+    return false;
+  }
+
+  // Declared first: `report` may bind to it.  Watchdog's mutex makes
+  // RunCtx non-copyable, so that binding never outlives its target.
+  SweepReport scratch;
+  const EvalSession& session;
+  SweepReport& report;
+  util::ThreadPool& pool;
+  const Deadline deadline;
+  util::CancelToken& cancel;
+  Checkpoint* const checkpoint;
+  std::optional<Watchdog> watchdog;
+};
 
 // Run one sweep item under the policy's retry budget, stamping the item
 // index as the fault-injection scope so tests can address "item 37" by
@@ -122,14 +145,13 @@ Checkpoint* armed_checkpoint(const EvalSession& session) {
 // (successes and persistable failures) are journaled before being
 // returned, so a crash can lose at most the items still in flight.
 template <typename T, typename Fn>
-Outcome<T> run_item(const SweepCtx& ctx, std::size_t index, const std::string& key,
-                    Fn&& body) {
+Outcome<T> run_item(RunCtx& ctx, std::size_t index, const std::string& key, Fn&& body) {
   if (ctx.checkpoint != nullptr) {
     Outcome<T> cached;
     if (ctx.checkpoint->lookup(key, cached)) return cached;
   }
   const faultinject::ScopedScope scope(static_cast<std::int64_t>(index));
-  int budget = std::max(1, ctx.policy.max_attempts);
+  int budget = std::max(1, ctx.session.policy.max_attempts);
   bool requeued = false;
   FailureInfo last;
   for (int attempt = 1; attempt <= budget; ++attempt) {
@@ -150,7 +172,7 @@ Outcome<T> run_item(const SweepCtx& ctx, std::size_t index, const std::string& k
     std::optional<T> value;
     try {
       faultinject::check(faultinject::Site::kSweepItem, "sizing::sweep_item");
-      if (ctx.watchdog == nullptr) {
+      if (!ctx.watchdog) {
         value = body();
       } else {
         const auto t0 = Clock::now();
@@ -274,14 +296,13 @@ std::vector<std::size_t> batch_todo(Checkpoint* ckpt, const std::string& prefix,
 // cancelled or the deadline expires are skipped; run_item classifies
 // those items normally when it reaches them.
 template <typename BatchFn>
-void batch_precompute(util::ThreadPool& tp, const Deadline& deadline,
-                      util::CancelToken& cancel, const std::vector<VectorPair>& vectors,
+void batch_precompute(const RunCtx& ctx, const std::vector<VectorPair>& vectors,
                       const std::vector<std::size_t>& idx, std::size_t chunk, BatchMemo& memo,
                       const BatchFn& call) {
   if (idx.empty()) return;
   const std::size_t nchunks = (idx.size() + chunk - 1) / chunk;
-  tp.parallel_for(nchunks, [&](std::size_t c) {
-    if (cancel.requested() || deadline.expired()) return;
+  ctx.pool.parallel_for(nchunks, [&](std::size_t c) {
+    if (ctx.cancel.requested() || ctx.deadline.expired()) return;
     const std::size_t begin = c * chunk;
     const std::size_t end = std::min(begin + chunk, idx.size());
     std::vector<const VectorPair*> vps(end - begin);
@@ -292,6 +313,54 @@ void batch_precompute(util::ThreadPool& tp, const Deadline& deadline,
   });
 }
 
+// Baseline and sized delays of one W/L's items, shared by rank_vectors
+// and every size_for_degradation probe.  Construction runs the batch
+// fast path over the items not already journaled (as checkpoint records
+// of type T under `prefix`): baselines first (after a bisection's first
+// probe they are all backend-memo hits), then the sized delay only where
+// the baseline toggled the outputs, mirroring the scalar bodies' early
+// return.  baseline(i) and at_wl(i) consume the memo, falling back to the
+// scalar backend call when the batch path stood down or a retry runs.
+template <typename T>
+class DegradationMemo {
+ public:
+  DegradationMemo(const RunCtx& ctx, const EvalBackend& backend,
+                  const std::vector<VectorPair>& vectors, double wl, const std::string& prefix)
+      : backend_(backend), vectors_(vectors), wl_(wl) {
+    const std::size_t chunk = batch_chunk(ctx.session, backend);
+    if (chunk == 0 || ctx.cancel.requested()) return;
+    const std::vector<std::size_t> todo = batch_todo<T>(ctx.checkpoint, prefix, vectors);
+    base_.reset(vectors.size());
+    sized_.reset(vectors.size());
+    batch_precompute(ctx, vectors, todo, chunk, base_,
+                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
+                       backend.delay_baseline_batch(vps, n, out);
+                     });
+    std::vector<std::size_t> toggled;
+    toggled.reserve(todo.size());
+    for (const std::size_t i : todo) {
+      if (base_.ok_positive(i)) toggled.push_back(i);
+    }
+    batch_precompute(ctx, vectors, toggled, chunk, sized_,
+                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
+                       backend.delay_at_wl_batch(vps, n, wl, out);
+                     });
+  }
+
+  double baseline(std::size_t i) {
+    return base_.take(i, [&] { return backend_.delay_baseline(vectors_[i]); });
+  }
+  double at_wl(std::size_t i) {
+    return sized_.take(i, [&] { return backend_.delay_at_wl(vectors_[i], wl_); });
+  }
+
+ private:
+  const EvalBackend& backend_;
+  const std::vector<VectorPair>& vectors_;
+  double wl_;
+  BatchMemo base_, sized_;
+};
+
 // Streaming core shared by the materializing and streaming rank_vectors
 // fronts: evaluate, then emit every successfully measured row (computed
 // or checkpoint-replayed alike) into `sink` during the serial
@@ -300,62 +369,31 @@ void batch_precompute(util::ThreadPool& tp, const Deadline& deadline,
 std::size_t rank_vectors_into(const EvalBackend& backend,
                               const std::vector<VectorPair>& vectors, double wl,
                               const EvalSession& session, ResultSink& sink) {
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
+  RunCtx ctx(session);
   // Keys are formatted when anyone consumes them -- the checkpoint for
   // replay/record, or a key-carrying sink (columnar spill) for row
   // identity.  The plain in-RAM path skips the formatting entirely.
-  const bool need_keys = ckpt != nullptr || sink.wants_keys();
+  const bool need_keys = ctx.checkpoint != nullptr || sink.wants_keys();
   std::string prefix;
   if (need_keys) {
     prefix = checkpoint_prefix("rank", backend.name(),
                                netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
   }
-  if (!cancel.requested()) backend.prepare_wl(wl);
-  // Batch fast path: precompute chunk-batched delays for every item not
-  // already journaled; the bodies below consume the memo.  Stage 2
-  // evaluates the sized delay only where the baseline toggled the
-  // outputs, mirroring the scalar body's early return.
-  const std::size_t chunk = batch_chunk(session, backend);
-  BatchMemo base_memo, wl_memo;
-  if (chunk > 0 && !cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo<VectorDelay>(ckpt, prefix, vectors);
-    base_memo.reset(vectors.size());
-    wl_memo.reset(vectors.size());
-    batch_precompute(session.pool_ref(), deadline, cancel, vectors, todo, chunk, base_memo,
-                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                       backend.delay_baseline_batch(vps, n, out);
-                     });
-    std::vector<std::size_t> sized;
-    sized.reserve(todo.size());
-    for (const std::size_t i : todo) {
-      if (base_memo.ok_positive(i)) sized.push_back(i);
-    }
-    batch_precompute(session.pool_ref(), deadline, cancel, vectors, sized, chunk, wl_memo,
-                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                       backend.delay_at_wl_batch(vps, n, wl, out);
-                     });
-  }
+  if (!ctx.cancel.requested()) backend.prepare_wl(wl);
+  DegradationMemo<VectorDelay> memo(ctx, backend, vectors, wl, prefix);
   // Evaluate into per-index Outcome slots, then reduce in input order:
   // the sink sees the exact sequence the serial loop produced, so the
   // emission stream is bit-identical for any thread count, and a failed
   // item only removes itself from the stream.
   std::vector<Outcome<VectorDelay>> measured(vectors.size());
-  session.pool_ref().parallel_for(vectors.size(), [&](std::size_t i) {
+  ctx.pool.parallel_for(vectors.size(), [&](std::size_t i) {
     const std::string key =
-        ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
+        ctx.checkpoint != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
     measured[i] = run_item<VectorDelay>(ctx, i, key, [&] {
       VectorDelay vd;
-      vd.delay_cmos = base_memo.take(i, [&] { return backend.delay_baseline(vectors[i]); });
+      vd.delay_cmos = memo.baseline(i);
       if (vd.delay_cmos <= 0.0) return vd;
-      vd.delay_mtcmos = wl_memo.take(i, [&] { return backend.delay_at_wl(vectors[i], wl); });
+      vd.delay_mtcmos = memo.at_wl(i);
       if (vd.delay_mtcmos <= 0.0) return vd;
       vd.degradation_pct = (vd.delay_mtcmos - vd.delay_cmos) / vd.delay_cmos * 100.0;
       return vd;
@@ -366,11 +404,7 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
   });
   std::size_t emitted = 0;
   for (std::size_t i = 0; i < measured.size(); ++i) {
-    report.add(i, measured[i]);
-    if (!measured[i].ok()) {
-      if (!session.policy.isolate) throw NumericalError(measured[i].failure);
-      continue;
-    }
+    if (!ctx.admit(i, measured[i])) continue;
     sink.on_delay(need_keys ? checkpoint_item_key(prefix, vectors[i]) : std::string(),
                   *measured[i].value);
     ++emitted;
@@ -385,7 +419,7 @@ std::vector<VectorDelay> rank_vectors(const EvalBackend& backend,
                                       const std::vector<VectorPair>& vectors, double wl,
                                       const EvalSession& session) {
   // Materializing front: collect the emission stream in RAM, then apply
-  // the legacy contract -- drop non-switching rows, sort worst-first.
+  // the return-value contract -- drop non-switching rows, sort worst-first.
   // The filter and sort see the exact row sequence the pre-sink reduction
   // produced, so the returned vector is bit-identical to it.
   MemorySink mem;
@@ -437,16 +471,8 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   if (!(bounds.wl_max > bounds.wl_min)) bad_bounds("need wl_min < wl_max");
   if (!(bounds.wl_tol > 0.0)) bad_bounds("wl_tol must be positive");
 
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
-  util::ThreadPool& tp = session.pool_ref();
+  RunCtx ctx(session);
+  Checkpoint* const ckpt = ctx.checkpoint;
 
   // Bisection-state journaling: one record, overwritten after every
   // probe, carrying the live W/L interval.  Resume re-derives the same
@@ -474,46 +500,23 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   // Parallel map into index-addressed Outcome slots, then a serial
   // first-maximum reduction that skips failed items: identical result to
   // the serial loop for any thread count, regardless of which items fail.
-  const std::size_t chunk = batch_chunk(session, backend);
   auto worst_at = [&](double wl) {
-    if (!cancel.requested()) backend.prepare_wl(wl);
+    if (!ctx.cancel.requested()) backend.prepare_wl(wl);
     std::string prefix;
     if (ckpt != nullptr || sink_keys) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
-    // Batch fast path: baseline batch first (after the first probe it is
-    // all backend-memo hits), then the sized delay where the outputs
-    // toggled.  The body below unrolls degradation_pct so each stage can
-    // consume its memo.
-    BatchMemo base_memo, wl_memo;
-    if (chunk > 0 && !cancel.requested()) {
-      const std::vector<std::size_t> todo = batch_todo<double>(ckpt, prefix, vectors);
-      base_memo.reset(vectors.size());
-      wl_memo.reset(vectors.size());
-      batch_precompute(tp, deadline, cancel, vectors, todo, chunk, base_memo,
-                       [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                         backend.delay_baseline_batch(vps, n, out);
-                       });
-      std::vector<std::size_t> sized;
-      sized.reserve(todo.size());
-      for (const std::size_t i : todo) {
-        if (base_memo.ok_positive(i)) sized.push_back(i);
-      }
-      batch_precompute(tp, deadline, cancel, vectors, sized, chunk, wl_memo,
-                       [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                         backend.delay_at_wl_batch(vps, n, wl, out);
-                       });
-    }
+    DegradationMemo<double> memo(ctx, backend, vectors, wl, prefix);
     std::vector<Outcome<double>> deg(vectors.size());
     // Plain parallel_for: run_item already absorbs NumericalErrors, so the
     // only exceptions that reach the pool are precondition bugs (and
     // journal write failures), which should cancel and propagate.
-    tp.parallel_for(vectors.size(), [&](std::size_t i) {
+    ctx.pool.parallel_for(vectors.size(), [&](std::size_t i) {
       const std::string key =
           ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
       deg[i] = run_item<double>(ctx, i, key, [&] {
-        // degradation_pct unrolled over the memos; identical arithmetic.
-        const double d0 = base_memo.take(i, [&] { return backend.delay_baseline(vectors[i]); });
+        // degradation_pct unrolled over the memo; identical arithmetic.
+        const double d0 = memo.baseline(i);
         if (d0 <= 0.0) return -1.0;
-        const double d1 = wl_memo.take(i, [&] { return backend.delay_at_wl(vectors[i], wl); });
+        const double d1 = memo.at_wl(i);
         if (d1 <= 0.0) return -1.0;
         return (d1 - d0) / d0 * 100.0;
       });
@@ -522,11 +525,7 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     std::size_t worst_idx = 0;
     bool any_ok = false;
     for (std::size_t i = 0; i < vectors.size(); ++i) {
-      report.add(i, deg[i]);
-      if (!deg[i].ok()) {
-        if (!session.policy.isolate) throw NumericalError(deg[i].failure);
-        continue;
-      }
+      if (!ctx.admit(i, deg[i])) continue;
       if (sink != nullptr) {
         sink->on_value(sink_keys || ckpt != nullptr
                            ? checkpoint_item_key(prefix, vectors[i])
@@ -553,6 +552,17 @@ SizingResult size_for_degradation(const EvalBackend& backend,
 
   auto [deg_max, idx_max] = worst_at(bounds.wl_max);
   record_state(1, bounds.wl_min, bounds.wl_max, deg_max, idx_max);
+  if (deg_max < 0.0) {
+    // Nothing toggled the outputs even at wl_max: every probe would read
+    // -1, and bisection would return wl_max as if it met the target.
+    if (ctx.cancel.requested()) {
+      throw NumericalError({FailureCode::kCancelled, "sizing::size_for_degradation",
+                            "cancelled before any vector toggled the outputs"});
+    }
+    throw NumericalError({FailureCode::kInvalidArgument, "sizing::size_for_degradation",
+                          "no vector toggles the outputs at W/L=" +
+                              std::to_string(bounds.wl_max)});
+  }
   if (deg_max > target_pct) {
     throw NumericalError("size_for_degradation: even W/L=" + std::to_string(bounds.wl_max) +
                          " degrades " + std::to_string(deg_max) + "% > target");
@@ -585,24 +595,16 @@ SizingResult size_for_degradation(const EvalBackend& backend,
 VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int samples, Rng& rng,
                                 const EvalSession& session) {
   require(samples >= 1, "search_worst_vector: need at least one sample");
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
+  RunCtx ctx(session);
   const int n = static_cast<int>(backend.netlist().inputs().size());
   ResultSink* sink = session.sink;
-  const bool need_keys = ckpt != nullptr || (sink != nullptr && sink->wants_keys());
+  const bool need_keys = ctx.checkpoint != nullptr || (sink != nullptr && sink->wants_keys());
   std::string prefix;
   if (need_keys) {
     prefix = checkpoint_prefix("search", backend.name(),
                                netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
   }
-  if (!cancel.requested()) backend.prepare_wl(wl);
+  if (!ctx.cancel.requested()) backend.prepare_wl(wl);
 
   auto score = [&](const VectorPair& vp) -> double {
     // Objective: absolute MTCMOS delay (what the designer must cover).
@@ -624,34 +626,30 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   const std::vector<VectorPair> sampled = sampled_vector_pairs(n, samples, rng);
   const std::size_t chunk = batch_chunk(session, backend);
   BatchMemo score_memo;
-  if (chunk > 0 && !cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo<double>(ckpt, prefix, sampled);
+  if (chunk > 0 && !ctx.cancel.requested()) {
+    const std::vector<std::size_t> todo = batch_todo<double>(ctx.checkpoint, prefix, sampled);
     score_memo.reset(sampled.size());
-    batch_precompute(session.pool_ref(), deadline, cancel, sampled, todo, chunk, score_memo,
+    batch_precompute(ctx, sampled, todo, chunk, score_memo,
                      [&](const VectorPair* const* vps, std::size_t n2, Outcome<double>* out) {
                        backend.delay_at_wl_batch(vps, n2, wl, out);
                      });
   }
   std::vector<Outcome<double>> scores(sampled.size());
-  session.pool_ref().parallel_for(sampled.size(), [&](std::size_t i) {
+  ctx.pool.parallel_for(sampled.size(), [&](std::size_t i) {
     scores[i] = run_item<double>(ctx, i, item_key(sampled[i]),
                                  [&] { return score_memo.take(i, [&] { return score(sampled[i]); }); });
   });
   VectorPair best;
   double best_score = -1.0;
   for (std::size_t i = 0; i < sampled.size(); ++i) {
-    report.add(i, scores[i]);
-    if (!scores[i].ok()) {
-      if (!session.policy.isolate) throw NumericalError(scores[i].failure);
-      continue;
-    }
+    if (!ctx.admit(i, scores[i])) continue;
     if (sink != nullptr) sink->on_value(item_key(sampled[i]), *scores[i].value);
     if (*scores[i].value > best_score) {
       best_score = *scores[i].value;
       best = sampled[i];
     }
   }
-  if (best_score <= 0.0 && cancel.requested()) {
+  if (best_score <= 0.0 && ctx.cancel.requested()) {
     throw NumericalError({FailureCode::kCancelled, "sizing::search_worst_vector",
                           "cancelled before any sample completed"});
   }
@@ -663,7 +661,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   std::size_t cand_index = sampled.size();
   bool improved = true;
   int rounds = 0;
-  while (improved && rounds++ < 32 && !cancel.requested()) {
+  while (improved && rounds++ < 32 && !ctx.cancel.requested()) {
     improved = false;
     for (int side = 0; side < 2; ++side) {
       for (int bit = 0; bit < n; ++bit) {
@@ -672,12 +670,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
         vec[static_cast<std::size_t>(bit)] = !vec[static_cast<std::size_t>(bit)];
         const Outcome<double> s =
             run_item<double>(ctx, cand_index, item_key(cand), [&] { return score(cand); });
-        report.add(cand_index, s);
-        ++cand_index;
-        if (!s.ok()) {
-          if (!session.policy.isolate) throw NumericalError(s.failure);
-          continue;
-        }
+        if (!ctx.admit(cand_index++, s)) continue;
         if (sink != nullptr) sink->on_value(item_key(cand), *s.value);
         if (*s.value > best_score) {
           best_score = *s.value;
@@ -703,17 +696,9 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
                                        std::vector<VectorPair> candidates, std::size_t keep,
                                        const EvalSession& session) {
   require(keep >= 1, "screen_vectors: keep must be >= 1");
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
+  RunCtx ctx(session);
   ResultSink* sink = session.sink;
-  const bool need_keys = ckpt != nullptr || (sink != nullptr && sink->wants_keys());
+  const bool need_keys = ctx.checkpoint != nullptr || (sink != nullptr && sink->wants_keys());
   std::string prefix;
   if (need_keys) {
     // Logic-level screening involves no backend: key on the bare netlist.
@@ -728,11 +713,11 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   const std::size_t chunk =
       std::max<std::size_t>(1, session.batch == 0 ? kDefaultBatch : session.batch);
   const std::size_t nchunks = (candidates.size() + chunk - 1) / chunk;
-  session.pool_ref().parallel_for(nchunks, [&](std::size_t c) {
+  ctx.pool.parallel_for(nchunks, [&](std::size_t c) {
     const std::size_t end = std::min((c + 1) * chunk, candidates.size());
     for (std::size_t i = c * chunk; i < end; ++i) {
-      const std::string key =
-          ckpt != nullptr ? checkpoint_item_key(prefix, candidates[i]) : std::string();
+      const std::string key = ctx.checkpoint != nullptr ? checkpoint_item_key(prefix, candidates[i])
+                                                        : std::string();
       weights[i] = run_item<double>(ctx, i, key,
                                     [&] { return falling_discharge_weight(nl, candidates[i]); });
     }
@@ -740,11 +725,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    report.add(i, weights[i]);
-    if (!weights[i].ok()) {
-      if (!session.policy.isolate) throw NumericalError(weights[i].failure);
-      continue;
-    }
+    if (!ctx.admit(i, weights[i])) continue;
     if (sink != nullptr) {
       sink->on_value(need_keys ? checkpoint_item_key(prefix, candidates[i]) : std::string(),
                      *weights[i].value);
@@ -764,15 +745,7 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
 VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference,
                            const SizingResult& result, double target_pct,
                            const EvalSession& session) {
-  SweepReport scratch;
-  SweepReport& report = session.report != nullptr ? *session.report : scratch;
-  const Deadline deadline = Deadline::start(session.deadline_s);
-  util::CancelToken& cancel = session.cancel_ref();
-  Checkpoint* ckpt = armed_checkpoint(session);
-  std::optional<Watchdog> watchdog;
-  if (session.watchdog.armed()) watchdog.emplace(session.watchdog);
-  const SweepCtx ctx{session.policy, deadline, cancel, ckpt,
-                     watchdog ? &*watchdog : nullptr};
+  RunCtx ctx(session);
   const VectorPair& vp = result.binding_vector;
   require(!vp.v0.empty() && vp.v0.size() == vp.v1.size(),
           "verify_sizing: result carries no binding vector");
@@ -795,7 +768,7 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
       {&reference, false, &out.reference_delay},
   };
   ResultSink* sink = session.sink;
-  const bool need_keys = ckpt != nullptr || (sink != nullptr && sink->wants_keys());
+  const bool need_keys = ctx.checkpoint != nullptr || (sink != nullptr && sink->wants_keys());
   for (std::size_t i = 0; i < 4; ++i) {
     const Probe& p = probes[i];
     std::string key;
@@ -810,9 +783,7 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
       return p.baseline ? p.backend->delay_baseline(vp)
                         : p.backend->delay_at_wl(vp, result.wl);
     });
-    report.add(i, o);
-    if (!o.ok()) {
-      if (!session.policy.isolate) throw NumericalError(o.failure);
+    if (!ctx.admit(i, o)) {
       if (out.ok) {
         out.ok = false;
         out.failure = o.failure;
@@ -841,87 +812,6 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
         target_pct > 0.0 && out.reference_degradation_pct <= target_pct;
   }
   return out;
-}
-
-// --- Legacy forwarding shims ---
-//
-// The pre-session API: one plain and one fault-isolating overload per
-// sweep, hard-wired to DelayEvaluator.  Each forwards into the session
-// implementation above; results are bit-identical to the historical
-// behavior (the session bodies *are* the old bodies, generalized over
-// EvalBackend).
-
-namespace {
-
-EvalSession make_session(util::ThreadPool* pool) {
-  EvalSession s;
-  s.pool = pool;
-  return s;
-}
-
-EvalSession make_session(util::ThreadPool* pool, const SweepPolicy& policy,
-                         SweepReport& report) {
-  EvalSession s;
-  s.pool = pool;
-  s.policy = policy;
-  s.report = &report;
-  return s;
-}
-
-}  // namespace
-
-std::vector<VectorDelay> rank_vectors(const DelayEvaluator& eval,
-                                      const std::vector<VectorPair>& vectors, double wl,
-                                      util::ThreadPool* pool) {
-  return rank_vectors(static_cast<const EvalBackend&>(eval), vectors, wl, make_session(pool));
-}
-
-std::vector<VectorDelay> rank_vectors(const DelayEvaluator& eval,
-                                      const std::vector<VectorPair>& vectors, double wl,
-                                      const SweepPolicy& policy, SweepReport& report,
-                                      util::ThreadPool* pool) {
-  return rank_vectors(static_cast<const EvalBackend&>(eval), vectors, wl,
-                      make_session(pool, policy, report));
-}
-
-SizingResult size_for_degradation(const DelayEvaluator& eval,
-                                  const std::vector<VectorPair>& vectors, double target_pct,
-                                  double wl_min, double wl_max, double wl_tol,
-                                  util::ThreadPool* pool) {
-  return size_for_degradation(static_cast<const EvalBackend&>(eval), vectors, target_pct,
-                              {wl_min, wl_max, wl_tol}, make_session(pool));
-}
-
-SizingResult size_for_degradation(const DelayEvaluator& eval,
-                                  const std::vector<VectorPair>& vectors, double target_pct,
-                                  const SweepPolicy& policy, SweepReport& report, double wl_min,
-                                  double wl_max, double wl_tol, util::ThreadPool* pool) {
-  return size_for_degradation(static_cast<const EvalBackend&>(eval), vectors, target_pct,
-                              {wl_min, wl_max, wl_tol}, make_session(pool, policy, report));
-}
-
-VectorDelay search_worst_vector(const DelayEvaluator& eval, double wl, int samples, Rng& rng,
-                                util::ThreadPool* pool) {
-  return search_worst_vector(static_cast<const EvalBackend&>(eval), wl, samples, rng,
-                             make_session(pool));
-}
-
-VectorDelay search_worst_vector(const DelayEvaluator& eval, double wl, int samples, Rng& rng,
-                                const SweepPolicy& policy, SweepReport& report,
-                                util::ThreadPool* pool) {
-  return search_worst_vector(static_cast<const EvalBackend&>(eval), wl, samples, rng,
-                             make_session(pool, policy, report));
-}
-
-std::vector<VectorPair> screen_vectors(const Netlist& nl, std::vector<VectorPair> candidates,
-                                       std::size_t keep, util::ThreadPool* pool) {
-  return screen_vectors(nl, std::move(candidates), keep, make_session(pool));
-}
-
-std::vector<VectorPair> screen_vectors(const Netlist& nl, std::vector<VectorPair> candidates,
-                                       std::size_t keep, const SweepPolicy& policy,
-                                       SweepReport& report, util::ThreadPool* pool) {
-  return screen_vectors(nl, std::move(candidates), keep, make_session(pool, policy, report));
 }
 
 }  // namespace mtcmos::sizing

@@ -1,12 +1,10 @@
 #pragma once
 // Session-scoped sweep entry points over EvalBackend.
 //
-// Every sweep used to come in a plain + fault-isolating overload pair,
-// each hard-wired to the switch-level DelayEvaluator.  EvalSession
-// collapses the run context -- thread pool, fault-isolation policy,
-// report sink, wall-clock budget -- into one value, and the four entry
-// points below are the single implementations both legacy overload
-// families (sizing/sizing.hpp) forward to.  Because they are written
+// EvalSession carries the run context -- thread pool, fault-isolation
+// policy, report, wall-clock budget, checkpoint, cancellation, sink --
+// as one value, and each sweep below has exactly one signature:
+// (backend, ..., const EvalSession& = {}).  Because they are written
 // against EvalBackend, the same ranking / bisection / search code runs on
 // the switch-level simulator (VbsBackend) or the transistor-level engine
 // (SpiceBackend) unchanged.
@@ -54,10 +52,9 @@ struct WatchdogConfig {
 
 /// Run context shared by every sweep call in a sizing session.
 ///
-/// Defaults reproduce the legacy plain overloads: global thread pool,
-/// isolating policy with one retry, per-item outcomes discarded, no
-/// deadline, no checkpoint, no watchdog, cancellation via the
-/// process-global token.
+/// Defaults: global thread pool, isolating policy with one retry,
+/// per-item outcomes discarded, no deadline, no checkpoint, no watchdog,
+/// cancellation via the process-global token.
 struct EvalSession {
   util::ThreadPool* pool = nullptr;  ///< nullptr = the process-global pool
   SweepPolicy policy = {};
@@ -90,8 +87,8 @@ struct EvalSession {
   /// from the checkpoint alike -- into the sink during its serial
   /// input-order reduction, keyed by the item's content-derived
   /// checkpoint key.  Emission order is deterministic for any thread
-  /// count.  nullptr disables (the legacy return values are unchanged
-  /// either way: internally they are built from a MemorySink).
+  /// count.  nullptr disables (the returned values are unchanged either
+  /// way: internally they are built from a MemorySink).
   ResultSink* sink = nullptr;
   /// Chunk size for the backend's batch fast path (EvalBackend::
   /// delay_*_batch, the SoA cohort kernel on VbsBackend).  0 = auto:
@@ -140,8 +137,8 @@ std::vector<VectorDelay> rank_vectors(const EvalBackend& backend,
 /// Streaming rank_vectors: identical evaluation, but rows are emitted
 /// into session.sink (required) instead of materialized, so memory stays
 /// bounded by the sink for any vector-set size.  Every successfully
-/// measured row is emitted -- including non-switching ones, which the
-/// materializing overload filters from its return value -- and the
+/// measured row is emitted -- including non-switching ones, which
+/// rank_vectors filters from its return value -- and the
 /// emission count is returned.  Throws std::invalid_argument when
 /// session.sink is null.
 std::size_t rank_vectors_stream(const EvalBackend& backend,
@@ -153,7 +150,8 @@ std::size_t rank_vectors_stream(const EvalBackend& backend,
 /// skipped in each probe's worst-degradation reduction and recorded in
 /// the session report (one entry per vector per probe).  Throws
 /// NumericalError if even wl_max cannot meet the target, or if every
-/// vector of a probe fails.
+/// vector of a probe fails.  A vector set that never toggles the outputs,
+/// even at wl_max, throws a kInvalidArgument-coded NumericalError.
 SizingResult size_for_degradation(const EvalBackend& backend,
                                   const std::vector<VectorPair>& vectors, double target_pct,
                                   const SizingBounds& bounds = {},
@@ -173,11 +171,10 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
 /// Keep the `keep` candidates with the largest falling_discharge_weight
 /// (logic-level screening; no backend involved).  Candidates whose weight
 /// computation fails are excluded from the ranking and recorded in the
-/// session report.  No session default here: the legacy overloads in
-/// sizing.hpp cover the default-context spelling.
+/// session report.
 std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
                                        std::vector<VectorPair> candidates, std::size_t keep,
-                                       const EvalSession& session);
+                                       const EvalSession& session = {});
 
 /// Cross-backend sign-off for one sizing result (paper Section 6.2:
 /// size with the fast tool, verify with the accurate one).

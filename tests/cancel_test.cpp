@@ -102,6 +102,45 @@ TEST_F(Cancel, CrossThreadCancelDrainsAVbsSweep) {
   }
 }
 
+// Raises `token` on every baseline measurement, so a serial scalar sweep
+// is cancelled right after its first item completes.
+class CancelOnBaseline : public VbsBackend {
+ public:
+  CancelOnBaseline(const netlist::Netlist& nl, std::vector<std::string> outputs,
+                   util::CancelToken& token)
+      : VbsBackend(nl, std::move(outputs)), token_(token) {}
+  double delay_baseline(const sizing::VectorPair& vp) const override {
+    token_.request();
+    return VbsBackend::delay_baseline(vp);
+  }
+
+ private:
+  util::CancelToken& token_;
+};
+
+TEST_F(Cancel, SizingCancelledAfterANonTogglingItemReportsCancelled) {
+  // Item 0 never toggles the outputs and item 1 is cancelled, so the
+  // wl_max probe has no toggling survivor.  That is an interruption, not
+  // a vector set that cannot be sized.
+  const auto adder = make_ripple_adder(tech07(), 2);
+  util::CancelToken token;
+  const CancelOnBaseline backend(adder.netlist, adder_outputs(adder), token);
+  const std::vector<bool> hold = {false, true, false, false};
+  const std::vector<sizing::VectorPair> vectors = {
+      {hold, hold}, {{false, false, false, false}, {true, true, false, true}}};
+  util::ThreadPool serial(1);
+  EvalSession session;
+  session.pool = &serial;
+  session.cancel_token = &token;
+  session.batch = 1;
+  try {
+    (void)sizing::size_for_degradation(backend, vectors, 5.0, {}, session);
+    FAIL() << "expected NumericalError";
+  } catch (const NumericalError& e) {
+    EXPECT_EQ(e.info().code, FailureCode::kCancelled);
+  }
+}
+
 TEST_F(Cancel, SigintDuringMultiThreadedSpiceSweepDrainsCleanly) {
   // The acceptance scenario: a real SIGINT delivered while a 4-thread
   // transistor-level sweep is in flight.  The handler raises the global
