@@ -635,12 +635,14 @@ class DaemonImpl {
 
     if (p.req.op != "campaign") {
       // Sweep dedup is item-granular against the shared store: items the
-      // run journaled are misses, the rest of the report replayed.  A
+      // run journaled are misses, the rest of the evaluated items
+      // replayed (decided_early items were neither).  A
       // campaign writes to its per-campaign journal instead, so its
       // hit/miss split is the chunk-granular one run_campaign filled in
       // -- the store delta would count every campaign item as a hit.
       misses = store_.journal().size() - store_before;
-      hits = report.total > misses ? report.total - misses : 0;
+      const std::size_t evaluated = report.total - report.decided_early;
+      hits = evaluated > misses ? evaluated - misses : 0;
     }
     dedup_hits_.fetch_add(hits);
     dedup_misses_.fetch_add(misses);
@@ -677,6 +679,7 @@ class DaemonImpl {
                          "\",\"rows\":" + std::to_string(sink.rows()) +
                          ",\"total\":" + std::to_string(report.total) +
                          ",\"failed\":" + std::to_string(report.failed) +
+                         ",\"decided_early\":" + std::to_string(report.decided_early) +
                          ",\"dedup_hits\":" + std::to_string(hits) +
                          ",\"dedup_misses\":" + std::to_string(misses) + done_fields + "}";
       p.conn->send(line);

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -272,15 +275,19 @@ class BatchMemo {
   std::vector<std::uint8_t> has_;
 };
 
-// Indices of `vectors` whose item key is not already journaled: only
-// these form batches, so checkpoint keys and records are untouched by
-// batching and a resumed run re-forms batches from the remaining items.
+// Indices of `vectors` (of `subset` when given) whose item key is not
+// already journaled: only these form batches, so checkpoint keys and
+// records are untouched by batching and a resumed run re-forms batches
+// from the remaining items.
 template <typename T>
 std::vector<std::size_t> batch_todo(Checkpoint* ckpt, const std::string& prefix,
-                                    const std::vector<VectorPair>& vectors) {
+                                    const std::vector<VectorPair>& vectors,
+                                    const std::vector<std::size_t>* subset = nullptr) {
+  const std::size_t n = subset != nullptr ? subset->size() : vectors.size();
   std::vector<std::size_t> todo;
-  todo.reserve(vectors.size());
-  for (std::size_t i = 0; i < vectors.size(); ++i) {
+  todo.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = subset != nullptr ? (*subset)[k] : k;
     if (ckpt != nullptr) {
       Outcome<T> cached;
       if (ckpt->lookup(checkpoint_item_key(prefix, vectors[i]), cached)) continue;
@@ -314,22 +321,24 @@ void batch_precompute(const RunCtx& ctx, const std::vector<VectorPair>& vectors,
 }
 
 // Baseline and sized delays of one W/L's items, shared by rank_vectors
-// and every size_for_degradation probe.  Construction runs the batch
-// fast path over the items not already journaled (as checkpoint records
-// of type T under `prefix`): baselines first (after a bisection's first
-// probe they are all backend-memo hits), then the sized delay only where
-// the baseline toggled the outputs, mirroring the scalar bodies' early
-// return.  baseline(i) and at_wl(i) consume the memo, falling back to the
-// scalar backend call when the batch path stood down or a retry runs.
+// and every size_for_degradation probe phase.  Construction runs the
+// batch fast path over the items (of `subset`, when given) not already
+// journaled (as checkpoint records of type T under `prefix`): baselines
+// first (after a bisection's first probe they are all backend-memo
+// hits), then the sized delay only where the baseline toggled the
+// outputs, mirroring the scalar bodies' early return.  baseline(i) and
+// at_wl(i) consume the memo, falling back to the scalar backend call
+// when the batch path stood down or a retry runs.
 template <typename T>
 class DegradationMemo {
  public:
   DegradationMemo(const RunCtx& ctx, const EvalBackend& backend,
-                  const std::vector<VectorPair>& vectors, double wl, const std::string& prefix)
+                  const std::vector<VectorPair>& vectors, double wl, const std::string& prefix,
+                  const std::vector<std::size_t>* subset = nullptr)
       : backend_(backend), vectors_(vectors), wl_(wl) {
     const std::size_t chunk = batch_chunk(ctx.session, backend);
     if (chunk == 0 || ctx.cancel.requested()) return;
-    const std::vector<std::size_t> todo = batch_todo<T>(ctx.checkpoint, prefix, vectors);
+    const std::vector<std::size_t> todo = batch_todo<T>(ctx.checkpoint, prefix, vectors, subset);
     base_.reset(vectors.size());
     sized_.reset(vectors.size());
     batch_precompute(ctx, vectors, todo, chunk, base_,
@@ -360,6 +369,27 @@ class DegradationMemo {
   double wl_;
   BatchMemo base_, sized_;
 };
+
+// The `k` worst entries of one fully evaluated probe, by degradation
+// descending then index ascending.  Failed and negative entries (vectors
+// that did not toggle the outputs) are left out.  Selected through an
+// index array, so the values are never copied.
+std::vector<std::size_t> worst_indices(const std::vector<Outcome<double>>& deg, std::size_t k) {
+  std::vector<std::size_t> idx;
+  idx.reserve(deg.size());
+  for (std::size_t i = 0; i < deg.size(); ++i) {
+    if (deg[i].ok() && *deg[i].value >= 0.0) idx.push_back(i);
+  }
+  k = std::min(k, idx.size());
+  std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k), idx.end(),
+                    [&](std::size_t a, std::size_t b) {
+                      const double va = *deg[a].value, vb = *deg[b].value;
+                      return va > vb || (va == vb && a < b);
+                    });
+  idx.resize(k);
+  idx.shrink_to_fit();
+  return idx;
+}
 
 // Streaming core shared by the materializing and streaming rank_vectors
 // fronts: evaluate, then emit every successfully measured row (computed
@@ -497,35 +527,74 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     ckpt->record_bisect(bisect_key, {phase, lo, hi, hi_deg, hi_idx, probes});
   };
 
-  // Parallel map into index-addressed Outcome slots, then a serial
-  // first-maximum reduction that skips failed items: identical result to
-  // the serial loop for any thread count, regardless of which items fail.
-  auto worst_at = [&](double wl) {
+  // The last fully evaluated probe's worst vectors: with the incumbent
+  // binding vector, the priority set every later probe evaluates first.
+  std::vector<std::size_t> top;
+
+  // One probe: a parallel map into index-addressed Outcome slots, then a
+  // serial input-order first-maximum reduction that skips failed items --
+  // identical to the serial loop for any thread count, whichever items
+  // fail.  Given the incumbent, a probe first measures the priority set
+  // (incumbent plus `top`).  A vector over target there fails the probe
+  // whatever the rest would measure -- and a failing probe's verdict is
+  // all the bisection reads -- so the reduction covers that set alone and
+  // the rest count as decided_early.  Otherwise the rest are measured and
+  // the reduction covers every vector.  With failures not isolated the
+  // early exit stands down: a skipped item could have been the first
+  // failure in input order, which the full reduction rethrows.
+  auto worst_at = [&](double wl, std::optional<std::size_t> incumbent) {
     if (!ctx.cancel.requested()) backend.prepare_wl(wl);
     std::string prefix;
     if (ckpt != nullptr || sink_keys) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
-    DegradationMemo<double> memo(ctx, backend, vectors, wl, prefix);
     std::vector<Outcome<double>> deg(vectors.size());
     // Plain parallel_for: run_item already absorbs NumericalErrors, so the
     // only exceptions that reach the pool are precondition bugs (and
     // journal write failures), which should cancel and propagate.
-    ctx.pool.parallel_for(vectors.size(), [&](std::size_t i) {
-      const std::string key =
-          ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
-      deg[i] = run_item<double>(ctx, i, key, [&] {
-        // degradation_pct unrolled over the memo; identical arithmetic.
-        const double d0 = memo.baseline(i);
-        if (d0 <= 0.0) return -1.0;
-        const double d1 = memo.at_wl(i);
-        if (d1 <= 0.0) return -1.0;
-        return (d1 - d0) / d0 * 100.0;
+    const auto measure = [&](const std::vector<std::size_t>* subset) {
+      DegradationMemo<double> memo(ctx, backend, vectors, wl, prefix, subset);
+      const std::size_t n = subset != nullptr ? subset->size() : vectors.size();
+      ctx.pool.parallel_for(n, [&](std::size_t k) {
+        const std::size_t i = subset != nullptr ? (*subset)[k] : k;
+        const std::string key =
+            ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
+        deg[i] = run_item<double>(ctx, i, key, [&] {
+          // degradation_pct unrolled over the memo; identical arithmetic.
+          const double d0 = memo.baseline(i);
+          if (d0 <= 0.0) return -1.0;
+          const double d1 = memo.at_wl(i);
+          if (d1 <= 0.0) return -1.0;
+          return (d1 - d0) / d0 * 100.0;
+        });
       });
-    });
+    };
+    std::vector<std::size_t> first;  // phase 1, ascending
+    bool decided = false;
+    if (incumbent && session.policy.isolate) {
+      first = top;
+      if (std::find(first.begin(), first.end(), *incumbent) == first.end()) {
+        first.push_back(*incumbent);
+      }
+      std::sort(first.begin(), first.end());
+      measure(&first);
+      decided = std::any_of(first.begin(), first.end(), [&](std::size_t i) {
+        return deg[i].ok() && *deg[i].value > target_pct;
+      });
+      if (!decided) {
+        std::vector<std::size_t> rest;
+        rest.reserve(vectors.size() - first.size());
+        std::ranges::set_difference(std::views::iota(std::size_t{0}, vectors.size()), first,
+                                    std::back_inserter(rest));
+        measure(&rest);
+      }
+    } else {
+      measure(nullptr);
+    }
+
     double worst = -1.0;
     std::size_t worst_idx = 0;
     bool any_ok = false;
-    for (std::size_t i = 0; i < vectors.size(); ++i) {
-      if (!ctx.admit(i, deg[i])) continue;
+    const auto reduce = [&](std::size_t i) {
+      if (!ctx.admit(i, deg[i])) return;
       if (sink != nullptr) {
         sink->on_value(sink_keys || ckpt != nullptr
                            ? checkpoint_item_key(prefix, vectors[i])
@@ -537,6 +606,13 @@ SizingResult size_for_degradation(const EvalBackend& backend,
         worst = *deg[i].value;
         worst_idx = i;
       }
+    };
+    if (decided) {
+      for (const std::size_t i : first) reduce(i);
+      ctx.report.add_decided_early(vectors.size() - first.size());
+    } else {
+      for (std::size_t i = 0; i < vectors.size(); ++i) reduce(i);
+      top = worst_indices(deg, kDefaultBatch);
     }
     if (sink != nullptr) sink->flush();
     if (!any_ok) {
@@ -550,7 +626,8 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     return std::pair<double, std::size_t>{worst, worst_idx};
   };
 
-  auto [deg_max, idx_max] = worst_at(bounds.wl_max);
+  // The wl_max probe always runs in full: its worst value is reported.
+  auto [deg_max, idx_max] = worst_at(bounds.wl_max, std::nullopt);
   record_state(1, bounds.wl_min, bounds.wl_max, deg_max, idx_max);
   if (deg_max < 0.0) {
     // Nothing toggled the outputs even at wl_max: every probe would read
@@ -567,19 +644,23 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     throw NumericalError("size_for_degradation: even W/L=" + std::to_string(bounds.wl_max) +
                          " degrades " + std::to_string(deg_max) + "% > target");
   }
-  auto [deg_min, idx_min] = worst_at(bounds.wl_min);
+  auto [deg_min, idx_min] = worst_at(bounds.wl_min, idx_max);
   record_state(2, bounds.wl_min, bounds.wl_max, deg_max, idx_max);
   if (deg_min >= 0.0 && deg_min <= target_pct) {
     return {bounds.wl_min, deg_min, vectors[idx_min]};
   }
 
-  // Bisection in log space (degradation is monotone decreasing in W/L).
+  // Bisection in log space.  It assumes only that the worst case over all
+  // vectors passes at `hi`, which every accepted probe measured: the
+  // answer is a measured pass within wl_tol of a measured fail.  It is the
+  // smallest passing W/L when that worst case falls monotonically in W/L;
+  // single vectors' degradations need not, and some do not.
   double lo = bounds.wl_min, hi = bounds.wl_max;
   double hi_deg = deg_max;
   std::size_t hi_idx = idx_max;
   while (hi - lo > bounds.wl_tol) {
     const double mid = std::sqrt(lo * hi);
-    const auto [deg, idx] = worst_at(mid);
+    const auto [deg, idx] = worst_at(mid, hi_idx);
     if (deg >= 0.0 && deg <= target_pct) {
       hi = mid;
       hi_deg = deg;

@@ -146,9 +146,20 @@ std::size_t rank_vectors_stream(const EvalBackend& backend,
                                 const EvalSession& session);
 
 /// Smallest W/L (within bounds, resolved to wl_tol) whose worst
-/// degradation over `vectors` is <= target_pct.  Failed vectors are
-/// skipped in each probe's worst-degradation reduction and recorded in
-/// the session report (one entry per vector per probe).  Throws
+/// degradation over `vectors` is <= target_pct, found by bisection in
+/// log W/L.  Each probe after the wl_max one first evaluates a priority
+/// set: the incumbent binding vector plus the 256 worst vectors of the
+/// last fully evaluated probe.  When one of them is over target the probe
+/// has failed and its other vectors are not evaluated; otherwise the
+/// probe evaluates every vector.  Passing probes therefore always
+/// evaluate every vector, and the result equals an exhaustive bisection.
+/// The early exit stands down when session.policy.isolate is false.
+///
+/// Report accounting: every probe adds vectors.size() to report.total.
+/// Evaluated vectors are recorded as succeeded / recovered / failed
+/// (failed vectors are skipped in the probe's worst-degradation
+/// reduction); vectors a failing probe skipped count as decided_early.
+/// A sink sees only measured rows, in input order per probe.  Throws
 /// NumericalError if even wl_max cannot meet the target, or if every
 /// vector of a probe fails.  A vector set that never toggles the outputs,
 /// even at wl_max, throws a kInvalidArgument-coded NumericalError.

@@ -106,6 +106,12 @@ struct Outcome {
 
 /// Aggregate health of a fault-isolated sweep.
 ///
+/// `total` counts every item a sweep was asked about:
+/// total == succeeded + recovered + failed + decided_early.
+/// `decided_early` items were never evaluated because the call's answer
+/// no longer depended on them (a size_for_degradation probe that already
+/// found a vector over target).
+///
 /// `rung_histogram[r]` counts items whose final success came on attempt
 /// r + 1 (so rung 0 = first try, rung 1 = first retry/escalation, ...).
 /// `failures` preserves item indices in the order the serial reduction
@@ -122,6 +128,7 @@ struct SweepReport {
   std::size_t succeeded = 0;  ///< ok on the first attempt
   std::size_t recovered = 0;  ///< ok after >= 1 retry/escalation
   std::size_t failed = 0;     ///< never ok
+  std::size_t decided_early = 0;  ///< not evaluated: the verdict was already known
   std::vector<std::size_t> rung_histogram;
   std::vector<std::pair<std::size_t, FailureInfo>> failures;
   /// Cap on retained FailureInfo details (not on counts).  Mutable
@@ -157,6 +164,12 @@ struct SweepReport {
     }
   }
 
+  /// Count `n` items whose outcome no longer mattered, unevaluated.
+  void add_decided_early(std::size_t n) {
+    total += n;
+    decided_early += n;
+  }
+
   /// Fold another report into this one (a driver aggregating several
   /// sweep calls -- e.g. one sharded sweep per W/L row -- into one
   /// campaign health report).  Failure indices keep their per-call
@@ -167,6 +180,7 @@ struct SweepReport {
     succeeded += other.succeeded;
     recovered += other.recovered;
     failed += other.failed;
+    decided_early += other.decided_early;
     if (rung_histogram.size() < other.rung_histogram.size()) {
       rung_histogram.resize(other.rung_histogram.size(), 0);
     }
@@ -205,6 +219,7 @@ struct SweepReport {
     std::string out = std::to_string(total) + " items: " + std::to_string(succeeded) +
                       " ok, " + std::to_string(recovered) + " recovered, " +
                       std::to_string(failed) + " failed";
+    if (decided_early > 0) out += ", " + std::to_string(decided_early) + " decided early";
     if (!rung_histogram.empty()) {
       out += "; per-rung successes [";
       for (std::size_t r = 0; r < rung_histogram.size(); ++r) {

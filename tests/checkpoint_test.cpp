@@ -390,6 +390,30 @@ TEST_F(CheckpointTest, KilledRankResumesBitIdenticallyOnVbs) {
   }
 }
 
+/// VbsBackend that logs every probe's W/L and can kill a sizing run
+/// inside one probe: the `kill_after`-th sized measurement at `kill_wl`
+/// arms a journal-append fault on its own item, so that item's record --
+/// and with it the run -- dies.
+class KillInProbe : public VbsBackend {
+ public:
+  using VbsBackend::VbsBackend;
+  void prepare_wl(double wl) const override {
+    probe_wls.push_back(wl);
+    VbsBackend::prepare_wl(wl);
+  }
+  double delay_at_wl(const VectorPair& vp, double wl) const override {
+    if (wl == kill_wl && ++calls_at_kill_wl == kill_after) {
+      faultinject::arm(faultinject::Site::kJournalAppend, faultinject::current_scope(), 1);
+    }
+    return VbsBackend::delay_at_wl(vp, wl);
+  }
+
+  double kill_wl = 0.0;
+  int kill_after = 0;
+  mutable int calls_at_kill_wl = 0;
+  mutable std::vector<double> probe_wls;
+};
+
 TEST_F(CheckpointTest, KilledSizingResumesBitIdenticallyOnVbs) {
   const auto adder = make_ripple_adder(tech07(), 2);
   const auto outs = adder_outputs(adder);
@@ -427,6 +451,57 @@ TEST_F(CheckpointTest, KilledSizingResumesBitIdenticallyOnVbs) {
       state));
   EXPECT_EQ(state.phase, 3);
   EXPECT_LE(state.hi - state.lo, bounds.wl_tol);
+
+  // Second kill, inside phase 1 of the last failing probe (every probe
+  // below the answer's W/L failed): a serial scalar run dies at its third
+  // sized measurement there, with phase 1 partly journaled.
+  SweepReport uninterrupted;
+  const KillInProbe probe_log(adder.netlist, outs);
+  EvalSession logged;
+  logged.report = &uninterrupted;
+  EXPECT_EQ(sizing::size_for_degradation(probe_log, vectors, 5.0, {}, logged).wl, reference.wl);
+  const std::size_t probes = probe_log.probe_wls.size();
+  ASSERT_GT(uninterrupted.decided_early, 0u);
+  EXPECT_EQ(uninterrupted.total, probes * vectors.size());
+  double last_failing = 0.0;
+  for (std::size_t p = 1; p < probes; ++p) {
+    if (probe_log.probe_wls[p] < reference.wl) last_failing = probe_log.probe_wls[p];
+  }
+  ASSERT_GT(last_failing, 0.0);
+
+  const std::string phase1_path = path("phase1.mtj");
+  KillInProbe killer(adder.netlist, outs);
+  killer.kill_wl = last_failing;
+  killer.kill_after = 3;
+  util::ThreadPool serial(1);
+  Checkpoint killed_in_phase1;
+  killed_in_phase1.open(phase1_path);
+  EvalSession kill_session;
+  kill_session.pool = &serial;
+  kill_session.checkpoint = &killed_in_phase1;
+  kill_session.batch = 1;
+  EXPECT_THROW(sizing::size_for_degradation(killer, vectors, 5.0, {}, kill_session),
+               NumericalError);
+  EXPECT_EQ(killer.calls_at_kill_wl, 3);
+  faultinject::disarm_all();
+  killed_in_phase1.journal().close();
+
+  Checkpoint resumed_phase1;
+  resumed_phase1.open(phase1_path);
+  SweepReport resumed_report;
+  EvalSession phase1_resume;
+  phase1_resume.checkpoint = &resumed_phase1;
+  phase1_resume.report = &resumed_report;
+  const auto again = sizing::size_for_degradation(vbs, vectors, 5.0, {}, phase1_resume);
+  EXPECT_EQ(again.wl, reference.wl);
+  EXPECT_EQ(again.degradation_pct, reference.degradation_pct);
+  EXPECT_TRUE(same_pair(again.binding_vector, reference.binding_vector));
+  EXPECT_EQ(resumed_report.total, uninterrupted.total);
+  EXPECT_EQ(resumed_report.decided_early, uninterrupted.decided_early);
+  // Only evaluated items are journaled (plus the one bisection-state key).
+  EXPECT_LT(resumed_phase1.journal().size(), probes * vectors.size());
+  EXPECT_EQ(resumed_phase1.journal().size(),
+            uninterrupted.total - uninterrupted.decided_early + 1);
 }
 
 TEST_F(CheckpointTest, KilledRankResumesBitIdenticallyOnSpice) {

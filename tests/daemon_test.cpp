@@ -365,6 +365,9 @@ TEST_F(DaemonTest, SizeAndVerifyReturnSizingFields) {
   EXPECT_TRUE(has(sized.terminal, "\"type\":\"done\"")) << sized.terminal;
   EXPECT_TRUE(has(sized.terminal, "\"wl\":")) << sized.terminal;
   EXPECT_TRUE(has(sized.terminal, "\"degradation_pct\":")) << sized.terminal;
+  // Fail-fast probes skip vectors; those are neither dedup hits nor misses.
+  EXPECT_GT(json_field(sized.terminal, "decided_early"), 0) << sized.terminal;
+  EXPECT_EQ(json_field(sized.terminal, "dedup_hits"), 0) << sized.terminal;
 
   const Stream verified = exchange(
       *ch, "{\"op\":\"verify\",\"circuit\":\"builtin:adder1\",\"target_pct\":8,\"vectors\":16}",

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "circuits/generators.hpp"
+#include "exhaustive_bisection.hpp"
 #include "sizing/sizing.hpp"
 #include "spice/circuit.hpp"
 #include "spice/engine.hpp"
@@ -201,6 +203,60 @@ TEST_F(FaultInject, IsolationOffRethrowsFirstFailure) {
   EXPECT_THROW(sizing::rank_vectors(eval, vectors, 10.0,
                                     {.pool = &serial, .policy = hard_stop, .report = &report}),
                NumericalError);
+}
+
+// A hard fault on the incumbent binding vector: the vector fails at every
+// probe that reaches it and is skipped, and the fail-fast bisection lands
+// on the exhaustive answer over the remaining vectors.
+TEST_F(FaultInject, SizingWithFaultedIncumbentMatchesExhaustiveWithoutIt) {
+  const auto adder = make_ripple_adder(tech07(), 2);
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
+  const auto vectors = sizing::all_vector_pairs(4);
+  const auto clean = sizing::size_for_degradation(eval, vectors, 5.0);
+  std::size_t incumbent = 0;
+  while (incumbent < vectors.size() && !(vectors[incumbent].v0 == clean.binding_vector.v0 &&
+                                         vectors[incumbent].v1 == clean.binding_vector.v1)) {
+    ++incumbent;
+  }
+  ASSERT_LT(incumbent, vectors.size());
+  std::vector<VectorPair> rest = vectors;
+  rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(incumbent));
+  const auto ref = sizing::exhaustive_bisection(eval, rest, 5.0, {});
+
+  faultinject::arm(faultinject::Site::kSweepItem, static_cast<std::int64_t>(incumbent),
+                   /*fail_hits=*/-1);
+  util::ThreadPool pool(4);
+  SweepReport report;
+  const auto got =
+      sizing::size_for_degradation(eval, vectors, 5.0, {}, {.pool = &pool, .report = &report});
+  EXPECT_EQ(got.wl, ref.result.wl);
+  EXPECT_EQ(got.degradation_pct, ref.result.degradation_pct);
+  EXPECT_EQ(got.binding_vector.v0, ref.result.binding_vector.v0);
+  EXPECT_EQ(got.binding_vector.v1, ref.result.binding_vector.v1);
+  EXPECT_GT(report.failed, 0u);
+  EXPECT_GT(report.decided_early, 0u);
+  EXPECT_EQ(report.total, ref.probes * vectors.size());
+  EXPECT_EQ(report.total,
+            report.succeeded + report.recovered + report.failed + report.decided_early);
+}
+
+// With isolation off, a skipped vector could have been the first failure
+// in input order, so every probe runs in full: nothing is decided early.
+TEST_F(FaultInject, IsolationOffEvaluatesEveryProbeInFull) {
+  const auto adder = make_ripple_adder(tech07(), 2);
+  const VbsBackend eval(adder.netlist, adder_outputs(adder));
+  const auto vectors = sizing::all_vector_pairs(4);
+  const auto ref = sizing::exhaustive_bisection(eval, vectors, 5.0, {});
+  SweepPolicy hard_stop;
+  hard_stop.isolate = false;
+  SweepReport report;
+  const auto got = sizing::size_for_degradation(eval, vectors, 5.0, {},
+                                                {.policy = hard_stop, .report = &report});
+  EXPECT_EQ(got.wl, ref.result.wl);
+  EXPECT_EQ(got.degradation_pct, ref.result.degradation_pct);
+  EXPECT_EQ(report.decided_early, 0u);
+  EXPECT_EQ(report.succeeded, ref.probes * vectors.size());
+  EXPECT_EQ(report.total, ref.probes * vectors.size());
 }
 
 // A seeded Newton divergence recovers through the ladder: attempt 1 eats

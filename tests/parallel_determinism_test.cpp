@@ -9,14 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/generators.hpp"
+#include "exhaustive_bisection.hpp"
 #include "core/vbs.hpp"
 #include "models/technology.hpp"
 #include "sizing/sizing.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/units.hpp"
 
 namespace mtcmos::sizing {
 namespace {
@@ -26,6 +31,29 @@ std::vector<std::string> adder_outputs(const circuits::RippleAdder& adder) {
   for (const auto s : adder.sum) outs.push_back(adder.netlist.net_name(s));
   outs.push_back(adder.netlist.net_name(adder.cout));
   return outs;
+}
+
+// size_for_degradation under `session` equals the exhaustive reference
+// bit for bit, and its report accounts for every vector of every probe.
+// Only failing probes may decide early: passing ones evaluate everything.
+void expect_matches_exhaustive(const EvalBackend& backend, const std::vector<VectorPair>& vectors,
+                               double target_pct, const ExhaustiveBisection& ref,
+                               EvalSession session, const std::string& what) {
+  SweepReport report;
+  session.report = &report;
+  const SizingResult got = size_for_degradation(backend, vectors, target_pct, {}, session);
+  EXPECT_EQ(got.wl, ref.result.wl) << what;
+  EXPECT_EQ(got.degradation_pct, ref.result.degradation_pct) << what;
+  EXPECT_EQ(got.binding_vector.v0, ref.result.binding_vector.v0) << what;
+  EXPECT_EQ(got.binding_vector.v1, ref.result.binding_vector.v1) << what;
+  EXPECT_EQ(report.failed, 0u) << what;
+  EXPECT_GT(report.decided_early, 0u) << what;
+  EXPECT_LE(report.decided_early, (ref.probes - ref.passes) * vectors.size()) << what;
+  EXPECT_GE(report.succeeded + report.recovered, ref.passes * vectors.size()) << what;
+  EXPECT_EQ(report.total, ref.probes * vectors.size()) << what;
+  EXPECT_EQ(report.total,
+            report.succeeded + report.recovered + report.failed + report.decided_early)
+      << what;
 }
 
 // Every 8th pair of the 4096-pair space: enough coverage to exercise the
@@ -77,6 +105,50 @@ TEST_F(ParallelDeterminismTest, SizeForDegradationBitIdentical) {
   EXPECT_EQ(a.degradation_pct, b.degradation_pct);
   EXPECT_EQ(a.binding_vector.v0, b.binding_vector.v0);
   EXPECT_EQ(a.binding_vector.v1, b.binding_vector.v1);
+}
+
+// Fail-fast probes end at the first over-target vector of their priority
+// set; the answer must still be the exhaustive bisection's, for any thread
+// count, on the batch and the scalar path.  One case per (adder bits,
+// target), so each runs as its own ctest entry.
+class FailFastSizing : public ::testing::TestWithParam<std::pair<int, double>> {};
+
+TEST_P(FailFastSizing, MatchesExhaustiveBisection) {
+  const auto [bits, target] = GetParam();
+  const auto adder = circuits::make_ripple_adder(tech07(), bits);
+  const VbsBackend backend(adder.netlist, adder_outputs(adder));
+  const auto vectors = all_vector_pairs(2 * bits);
+  const ExhaustiveBisection ref = exhaustive_bisection(backend, vectors, target, {});
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    util::ThreadPool pool(threads);
+    for (const std::size_t batch : {0u, 1u}) {
+      expect_matches_exhaustive(
+          backend, vectors, target, ref, {.pool = &pool, .batch = batch},
+          "threads " + std::to_string(threads) + " batch " + std::to_string(batch));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AdderTargets, FailFastSizing,
+                         ::testing::Values(std::pair{2, 2.0}, std::pair{2, 5.0},
+                                           std::pair{2, 10.0}, std::pair{3, 2.0},
+                                           std::pair{3, 5.0}, std::pair{3, 10.0}));
+
+TEST(FailFastSizingOnSpice, MatchesExhaustiveBisection) {
+  circuits::InverterTreeOptions topt;
+  topt.fanout = 1;
+  topt.stages = 2;
+  const auto chain = circuits::make_inverter_tree(tech07(), topt);
+  SpiceBackendOptions sopt;
+  sopt.tstop = 8.0 * units::ns;
+  const SpiceBackend spice(chain.netlist, {chain.netlist.net_name(chain.leaves[0])}, sopt);
+  const auto vectors = all_vector_pairs(1);
+  const ExhaustiveBisection ref = exhaustive_bisection(spice, vectors, 5.0, {});
+  for (const std::size_t threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    expect_matches_exhaustive(spice, vectors, 5.0, ref, {.pool = &pool},
+                              "spice threads " + std::to_string(threads));
+  }
 }
 
 TEST_F(ParallelDeterminismTest, SearchWorstVectorBitIdentical) {
