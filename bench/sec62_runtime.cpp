@@ -51,17 +51,12 @@ SweepRun timed_sweep(const sizing::EvalBackend& backend,
                      const std::vector<sizing::VectorPair>& pairs, double wl,
                      util::ThreadPool& pool, sizing::Checkpoint* ckpt) {
   backend.prepare_wl(wl);
-  std::string prefix;
-  if (ckpt != nullptr && ckpt->armed()) {
-    prefix = sizing::checkpoint_prefix(
-        "sec62-delay", backend.name(),
-        sizing::netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
-  }
+  const sizing::ItemKeys keys(ckpt != nullptr && ckpt->armed(), "sec62-delay", backend, wl);
   SweepRun out;
   const auto t0 = Clock::now();
   out.delays = pool.parallel_map(pairs.size(), [&](std::size_t i) {
-    if (prefix.empty()) return backend.delay_at_wl(pairs[i], wl);
-    const std::string key = sizing::checkpoint_item_key(prefix, pairs[i]);
+    if (!keys.on()) return backend.delay_at_wl(pairs[i], wl);
+    const std::string key = keys.key(pairs[i]);
     Outcome<double> cached;
     if (ckpt->lookup(key, cached) && cached.ok()) return *cached.value;
     const double d = backend.delay_at_wl(pairs[i], wl);

@@ -130,14 +130,6 @@ std::optional<double> input_last_crossing(const VbsOptions& opt, double th, doub
 
 }  // namespace
 
-std::vector<VbsLaneResult> VbsBatchSimulator::critical_delays(
-    const std::vector<VbsBatchItem>& items, const std::vector<std::string>& out_names,
-    VbsBatchWorkspace& ws) const {
-  std::vector<VbsLaneResult> results(items.size());
-  critical_delays(items.data(), items.size(), out_names, ws, results.data());
-  return results;
-}
-
 // The kernel.  Beyond the SoA layout it:
 //
 //   * re-solves Eq. 5 through the batched closed form (solve_vx_batch)
@@ -195,33 +187,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
     return static_cast<std::size_t>(sim_.gate_domain_[static_cast<std::size_t>(g)]);
   };
 
-#ifdef MTCMOS_BATCH_PROF
-  struct Prof {
-    long long ns[16] = {};
-    long long rounds = 0, lanesum = 0, gatesum = 0, pairs = 0, reevals = 0;
-    ~Prof() {
-      static const char* nm[16] = {"compact", "guards", "beta",   "solve",   "slope",  "cand",
-                                   "term",    "adv",    "mon",    "vx",      "setup",  "ev:in",
-                                   "ev:cross", "init",   "ev:pend", "ev:reev"};
-      for (int i = 0; i < 16; ++i)
-        if (ns[i]) std::fprintf(stderr, "PROF %-8s %9.3f ms\n", nm[i], ns[i] / 1e6);
-      std::fprintf(stderr, "PROF rounds=%lld lanesum=%lld gatesum=%lld pairs=%lld reevals=%lld\n",
-                   rounds, lanesum, gatesum, pairs, reevals);
-    }
-  };
-  static Prof g_prof;
-#define PROF_T0 auto _pt = std::chrono::steady_clock::now()
-#define PROF_TICK(i)                                                               \
-  {                                                                                \
-    const auto _n = std::chrono::steady_clock::now();                              \
-    g_prof.ns[i] += std::chrono::duration_cast<std::chrono::nanoseconds>(_n - _pt).count(); \
-    _pt = _n;                                                                      \
-  }
-#else
-#define PROF_T0
-#define PROF_TICK(i)
-#endif
-  PROF_T0;
 
   resolve_out_names(nl, out_names, ws);
   const std::size_t n_mon = ws.mon_gate.size();
@@ -233,7 +198,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
   ws.lane_active.assign(B, 0);
   ws.group_key.clear();
 
-  PROF_TICK(10);
   // Pulldown-conducts for gate g given a per-net logic lookup: one lookup
   // in the simulator's truth table for gates with <= 6 fanins, the SpExpr
   // walk for wider ones.  The table is the same function, so results are
@@ -524,7 +488,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
     ws.running[l] = 1;
     ++lanes_running;
   }
-  PROF_TICK(13);
 
   const auto drive_current = [alpha](double beta, double u) {
     if (u <= 0.0) return 0.0;
@@ -572,7 +535,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
 
   // --- Breakpoint rounds.
   while (lanes_running > 0) {
-    PROF_T0;
     // Swap-retire finished lanes out of the dense live prefix.  Order
     // within the prefix is not preserved; per-lane sequences are
     // independent, so this cannot change any lane's bits.
@@ -593,12 +555,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
     const std::size_t L = live;
     const int* gl = ws.active_gates.data();
     const std::size_t gn = ws.active_gates.size();
-    PROF_TICK(0);
-#ifdef MTCMOS_BATCH_PROF
-    ++g_prof.rounds;
-    g_prof.lanesum += static_cast<long long>(L);
-    g_prof.gatesum += static_cast<long long>(gn);
-#endif
 
     // Scalar loop top: fault injection and budget guards.  When nothing is
     // armed and no budget is set, every check below is a no-op for every
@@ -629,7 +585,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
       }
     }
     if (lanes_running == 0) break;
-    PROF_TICK(1);
 
     // --- Solve each domain's virtual ground for its discharger set.
     // Settled gates contribute 0 beta in every lane; skipping their rows
@@ -656,7 +611,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
         beta_row[l] += (drive_row[l] == Drive::kDown) ? bg : 0.0;
       }
     }
-    PROF_TICK(2);
     for (int d = 0; d < n_dom; ++d) {
       const double r = sim_.domain_r_[static_cast<std::size_t>(d)];
       const std::size_t base = static_cast<std::size_t>(d) * B;
@@ -734,7 +688,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
       // reset_soa seeded (nothing else writes them), so no per-round fill.
     }
 
-    PROF_TICK(3);
     // --- Per-lane t_next seed (pending input events and due activations),
     // hoisted before the slope/candidate sweep accumulates gate
     // candidates onto it.
@@ -839,7 +792,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
       for_each_driving(drive_row, L, [&](std::size_t l) { cand(l, slope_row[l]); });
     }
 
-    PROF_TICK(4);
     // RC-mode refinement breakpoints while any V_x is far from equilibrium.
     if (cx > 0.0) {
       for (int d = 0; d < n_dom; ++d) {
@@ -854,7 +806,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
       }
     }
 
-    PROF_TICK(5);
     // --- Per-lane termination (scalar: quiescent break / runaway throws).
     for (std::size_t l = 0; l < L; ++l) {
       if (!ws.running[l]) {
@@ -887,7 +838,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
     }
     if (lanes_running == 0) break;
 
-    PROF_TICK(6);
     // --- Advance, record monitors, and fire crossings in one fused sweep
     // per active gate, so each gate's vout/slope/drive rows stay cache-hot
     // across the three stages.  The scalar kernel handles one lane at a
@@ -944,9 +894,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
         // branches.  The fired bodies repeat the scalar expressions
         // exactly.
         for_each_driving(drive_row, L, [&](std::size_t l) {
-#ifdef MTCMOS_BATCH_PROF
-          ++g_prof.pairs;
-#endif
           if (mon >= 0) record_gate(g, l);
           const std::size_t k = gidx(g, l);
           const bool dn = drive_row[l] == Drive::kDown;
@@ -970,7 +917,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
         });
       }
     }
-    PROF_TICK(7);
     if (cx > 0.0) {
       for (int d = 0; d < n_dom; ++d) {
         const double r = sim_.domain_r_[static_cast<std::size_t>(d)];
@@ -985,7 +931,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
         }
       }
     }
-    PROF_TICK(9);
     // --- Input events due at each advanced lane's t_now.
     for (std::size_t l = 0; l < L; ++l) {
       if (!ws.running[l]) continue;  // still-running lanes advanced this round
@@ -997,7 +942,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
         mark_fanout(l, ev.net, opt.input_ramp);
       }
     }
-    PROF_TICK(11);
     for (std::size_t l = 0; l < L; ++l) {
       if (!ws.running[l]) continue;
       if (ws.pending[l].empty() && !opt.reverse_conduction) continue;
@@ -1029,10 +973,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
         }
       }
     }
-    PROF_TICK(14);
-#ifdef MTCMOS_BATCH_PROF
-    g_prof.reevals += static_cast<long long>(ws.reeval_pairs.size());
-#endif
     // Re-evaluate the fanout of every net whose logic changed.  The scalar
     // kernel sorts and dedups its per-lane list first, but that is only a
     // schedule choice: each reevaluate touches its own gate's drive alone
@@ -1042,7 +982,6 @@ void VbsBatchSimulator::critical_delays(const VbsBatchItem* items, std::size_t c
     for (const std::uint64_t p : ws.reeval_pairs) {
       reevaluate(static_cast<int>(p & 0xffffffffu), static_cast<std::size_t>(p >> 32));
     }
-    PROF_TICK(15);
   }
 }
 

@@ -146,10 +146,6 @@ class VbsBatchSimulator {
                        const std::vector<std::string>& out_names, VbsBatchWorkspace& ws,
                        VbsLaneResult* results) const;
 
-  std::vector<VbsLaneResult> critical_delays(const std::vector<VbsBatchItem>& items,
-                                             const std::vector<std::string>& out_names,
-                                             VbsBatchWorkspace& ws) const;
-
   const VbsSimulator& simulator() const { return sim_; }
 
  private:

@@ -68,6 +68,57 @@ void EvalBackend::delay_baseline_batch(const VectorPair* const* vps, std::size_t
   }
 }
 
+// --- Caches ---
+
+std::optional<double> BaselineMemo::find(const VectorPair& vp) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = map_.find({vp.v0, vp.v1});
+  if (it == map_.end()) {
+    ++misses_;
+    return std::nullopt;
+  }
+  ++hits_;
+  return it->second;
+}
+
+std::vector<std::size_t> BaselineMemo::find_batch(const VectorPair* const* vps, std::size_t n,
+                                                  Outcome<double>* out) {
+  std::vector<std::size_t> miss;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto it = map_.find({vps[i]->v0, vps[i]->v1});
+    if (it != map_.end()) {
+      ++hits_;
+      out[i] = Outcome<double>::success(it->second);
+    } else {
+      ++misses_;
+      miss.push_back(i);
+    }
+  }
+  return miss;
+}
+
+void BaselineMemo::insert(const VectorPair& vp, double delay) {
+  // A concurrent duplicate computed the same deterministic value, so
+  // whichever insert wins is equivalent.
+  std::pair<std::vector<bool>, std::vector<bool>> key{vp.v0, vp.v1};
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (map_.size() >= capacity_ && map_.find(key) == map_.end()) {
+    map_.erase(map_.begin());
+    ++evictions_;
+  }
+  map_.try_emplace(std::move(key), delay);
+}
+
+void BaselineMemo::fill(CacheStats& s) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  s.baseline_entries = map_.size();
+  s.baseline_capacity = capacity_;
+  s.baseline_hits = hits_;
+  s.baseline_misses = misses_;
+  s.baseline_evictions = evictions_;
+}
+
 // --- VbsBackend ---
 
 VbsBackend::VbsBackend(const Netlist& nl, std::vector<std::string> outputs,
@@ -75,10 +126,11 @@ VbsBackend::VbsBackend(const Netlist& nl, std::vector<std::string> outputs,
     : nl_(nl),
       outputs_(std::move(outputs)),
       base_(base),
-      limits_(limits),
-      baseline_sim_(nl, with_resistance(base, 0.0)) {
+      baseline_sim_(nl, with_resistance(base, 0.0)),
+      sims_(limits.max_simulators),
+      baselines_(limits.max_baseline_delays) {
   require(!outputs_.empty(), "VbsBackend: need at least one output net");
-  require(limits_.max_simulators >= 1 && limits_.max_baseline_delays >= 1,
+  require(limits.max_simulators >= 1 && limits.max_baseline_delays >= 1,
           "VbsBackend: cache limits must be >= 1");
   for (const std::string& name : outputs_) {
     require(nl_.find_net(name).has_value(), "VbsBackend: unknown net " + name);
@@ -86,49 +138,17 @@ VbsBackend::VbsBackend(const Netlist& nl, std::vector<std::string> outputs,
 }
 
 double VbsBackend::delay_baseline(const VectorPair& vp) const {
-  {
-    const std::lock_guard<std::mutex> lock(baseline_mutex_);
-    const auto it = baseline_cache_.find({vp.v0, vp.v1});
-    if (it != baseline_cache_.end()) {
-      ++baseline_hits_;
-      return it->second;
-    }
-    ++baseline_misses_;
-  }
-  // Compute outside the lock; a concurrent duplicate computes the same
-  // deterministic value, so whichever insert wins is equivalent.
+  if (const auto hit = baselines_.find(vp)) return *hit;
   const double d = baseline_sim_.critical_delay(vp.v0, vp.v1, outputs_, local_workspace());
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
-  if (baseline_cache_.size() >= limits_.max_baseline_delays &&
-      baseline_cache_.find({vp.v0, vp.v1}) == baseline_cache_.end()) {
-    baseline_cache_.erase(baseline_cache_.begin());
-    ++baseline_evictions_;
-  }
-  baseline_cache_.try_emplace({vp.v0, vp.v1}, d);
+  baselines_.insert(vp, d);
   return d;
 }
 
 std::shared_ptr<const core::VbsSimulator> VbsBackend::simulator_at_wl(double wl) const {
-  const std::lock_guard<std::mutex> lock(sim_mutex_);
-  auto it = sim_cache_.find(wl);
-  if (it != sim_cache_.end()) {
-    ++sim_hits_;
-    it->second.last_use = ++sim_clock_;
-    return it->second.sim;
-  }
-  ++sim_misses_;
-  if (sim_cache_.size() >= limits_.max_simulators) {
-    auto victim = sim_cache_.begin();
-    for (auto cand = sim_cache_.begin(); cand != sim_cache_.end(); ++cand) {
-      if (cand->second.last_use < victim->second.last_use) victim = cand;
-    }
-    sim_cache_.erase(victim);
-    ++sim_evictions_;
-  }
-  const double r = SleepTransistor(nl_.tech(), wl).reff();
-  SimEntry entry{std::make_shared<const core::VbsSimulator>(nl_, with_resistance(base_, r)),
-                 ++sim_clock_};
-  return sim_cache_.emplace(wl, std::move(entry)).first->second.sim;
+  return sims_.get(wl, [&] {
+    const double r = SleepTransistor(nl_.tech(), wl).reff();
+    return std::make_shared<const core::VbsSimulator>(nl_, with_resistance(base_, r));
+  });
 }
 
 double VbsBackend::delay_at_wl(const VectorPair& vp, double wl) const {
@@ -146,62 +166,27 @@ void VbsBackend::delay_at_wl_batch(const VectorPair* const* vps, std::size_t n, 
 
 void VbsBackend::delay_baseline_batch(const VectorPair* const* vps, std::size_t n,
                                       Outcome<double>* out) const {
-  // Resolve memo hits under the lock, then run the kernel over the
-  // misses only -- on the second and later probes of a bisection the
-  // whole batch typically hits.
-  std::vector<std::size_t> miss;
-  {
-    const std::lock_guard<std::mutex> lock(baseline_mutex_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto it = baseline_cache_.find({vps[i]->v0, vps[i]->v1});
-      if (it != baseline_cache_.end()) {
-        ++baseline_hits_;
-        out[i] = Outcome<double>::success(it->second);
-      } else {
-        ++baseline_misses_;
-        miss.push_back(i);
-      }
-    }
-  }
+  // Resolve memo hits first, then run the kernel over the misses only --
+  // on the second and later probes of a bisection the whole batch
+  // typically hits.
+  const std::vector<std::size_t> miss = baselines_.find_batch(vps, n, out);
   if (miss.empty()) return;
   std::vector<const VectorPair*> miss_vps(miss.size());
   std::vector<Outcome<double>> miss_out(miss.size());
   for (std::size_t k = 0; k < miss.size(); ++k) miss_vps[k] = vps[miss[k]];
   run_vbs_batch(baseline_sim_, outputs_, miss_vps.data(), miss.size(), miss_out.data());
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
   for (std::size_t k = 0; k < miss.size(); ++k) {
     // Failures are reported, never cached -- exactly like the scalar
     // call, which throws before touching the memo.
-    if (miss_out[k].ok()) {
-      const std::pair<std::vector<bool>, std::vector<bool>> key{vps[miss[k]]->v0,
-                                                                vps[miss[k]]->v1};
-      if (baseline_cache_.size() >= limits_.max_baseline_delays &&
-          baseline_cache_.find(key) == baseline_cache_.end()) {
-        baseline_cache_.erase(baseline_cache_.begin());
-        ++baseline_evictions_;
-      }
-      baseline_cache_.try_emplace(key, *miss_out[k].value);
-    }
+    if (miss_out[k].ok()) baselines_.insert(*miss_vps[k], *miss_out[k].value);
     out[miss[k]] = std::move(miss_out[k]);
   }
 }
 
 CacheStats VbsBackend::cache_stats() const {
   CacheStats s;
-  {
-    const std::lock_guard<std::mutex> lock(sim_mutex_);
-    s.sim_entries = sim_cache_.size();
-    s.sim_capacity = limits_.max_simulators;
-    s.sim_hits = sim_hits_;
-    s.sim_misses = sim_misses_;
-    s.sim_evictions = sim_evictions_;
-  }
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
-  s.baseline_entries = baseline_cache_.size();
-  s.baseline_capacity = limits_.max_baseline_delays;
-  s.baseline_hits = baseline_hits_;
-  s.baseline_misses = baseline_misses_;
-  s.baseline_evictions = baseline_evictions_;
+  sims_.fill(s);
+  baselines_.fill(s);
   return s;
 }
 
@@ -209,7 +194,11 @@ CacheStats VbsBackend::cache_stats() const {
 
 SpiceBackend::SpiceBackend(const Netlist& nl, std::vector<std::string> outputs,
                            SpiceBackendOptions options)
-    : nl_(nl), outputs_(std::move(outputs)), options_(options) {
+    : nl_(nl),
+      outputs_(std::move(outputs)),
+      options_(options),
+      engines_(options.max_engines),
+      baselines_(options.max_baseline_delays) {
   require(!outputs_.empty(), "SpiceBackend: need at least one output net");
   require(options_.max_engines >= 1 && options_.max_baseline_delays >= 1,
           "SpiceBackend: cache limits must be >= 1");
@@ -241,31 +230,15 @@ SpiceRefOptions SpiceBackend::ref_options_for_wl(double wl) const {
 }
 
 std::shared_ptr<SpiceBackend::Entry> SpiceBackend::entry_at_wl(double wl) const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = engines_.find(wl);
-  if (it != engines_.end()) {
-    ++sim_hits_;
-    it->second->last_use = ++clock_;
-    return it->second;
-  }
-  ++sim_misses_;
-  if (engines_.size() >= options_.max_engines) {
-    auto victim = engines_.begin();
-    for (auto cand = engines_.begin(); cand != engines_.end(); ++cand) {
-      if (cand->second->last_use < victim->second->last_use) victim = cand;
-    }
-    // In-flight measurements keep the evicted entry (and its pool) alive
-    // through their shared_ptr; only the cache's reference drops here.
-    engines_.erase(victim);
-    ++sim_evictions_;
-  }
   // An entry is just the build recipe plus an empty pool, so creating it
-  // is cheap; the expensive expansion happens in acquire(), per instance,
-  // outside any lock.
-  auto entry = std::make_shared<Entry>();
-  entry->ropt = ref_options_for_wl(wl);
-  entry->last_use = ++clock_;
-  return engines_.emplace(wl, std::move(entry)).first->second;
+  // under the cache lock is cheap; the expensive expansion happens in
+  // acquire(), per instance, outside any lock.  In-flight measurements
+  // keep an evicted entry (and its pool) alive through their shared_ptr.
+  return engines_.get(wl, [&] {
+    auto entry = std::make_shared<Entry>();
+    entry->ropt = ref_options_for_wl(wl);
+    return entry;
+  });
 }
 
 SpiceBackend::Lease SpiceBackend::acquire(const std::shared_ptr<Entry>& entry) const {
@@ -300,28 +273,14 @@ double SpiceBackend::delay_at_wl(const VectorPair& vp, double wl) const {
 }
 
 double SpiceBackend::delay_baseline(const VectorPair& vp) const {
-  {
-    const std::lock_guard<std::mutex> lock(baseline_mutex_);
-    const auto it = baseline_cache_.find({vp.v0, vp.v1});
-    if (it != baseline_cache_.end()) {
-      ++baseline_hits_;
-      return it->second;
-    }
-    ++baseline_misses_;
-  }
+  if (const auto hit = baselines_.find(vp)) return *hit;
   SpiceRefResult r;
   {
     const Lease lease = acquire(baseline_);
     r = lease.ref().measure(vp);
   }
   if (!r.ok()) throw NumericalError(r.failure);
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
-  if (baseline_cache_.size() >= options_.max_baseline_delays &&
-      baseline_cache_.find({vp.v0, vp.v1}) == baseline_cache_.end()) {
-    baseline_cache_.erase(baseline_cache_.begin());
-    ++baseline_evictions_;
-  }
-  baseline_cache_.try_emplace({vp.v0, vp.v1}, r.delay);
+  baselines_.insert(vp, r.delay);
   return r.delay;
 }
 
@@ -343,33 +302,15 @@ spice::EngineStats SpiceBackend::engine_stats() const {
       total.workspace_bytes += s.workspace_bytes;
     }
   };
-  std::vector<std::shared_ptr<Entry>> entries;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    entries.reserve(engines_.size());
-    for (const auto& [wl, entry] : engines_) entries.push_back(entry);
-  }
-  for (const auto& entry : entries) add_pool(*entry);
+  for (const auto& entry : engines_.entries()) add_pool(*entry);
   add_pool(*baseline_);
   return total;
 }
 
 CacheStats SpiceBackend::cache_stats() const {
   CacheStats s;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    s.sim_entries = engines_.size();
-    s.sim_capacity = options_.max_engines;
-    s.sim_hits = sim_hits_;
-    s.sim_misses = sim_misses_;
-    s.sim_evictions = sim_evictions_;
-  }
-  const std::lock_guard<std::mutex> lock(baseline_mutex_);
-  s.baseline_entries = baseline_cache_.size();
-  s.baseline_capacity = options_.max_baseline_delays;
-  s.baseline_hits = baseline_hits_;
-  s.baseline_misses = baseline_misses_;
-  s.baseline_evictions = baseline_evictions_;
+  engines_.fill(s);
+  baselines_.fill(s);
   return s;
 }
 

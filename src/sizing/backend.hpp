@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,6 +74,94 @@ struct CacheStats {
 struct EvalCacheLimits {
   std::size_t max_simulators = 64;             ///< distinct W/L engines kept
   std::size_t max_baseline_delays = 1u << 20;  ///< per-vector baseline memos kept
+};
+
+/// The per-vector baseline-delay memo behind both backends: thread-safe,
+/// bounded, evicting the smallest key when full.  Only successful delays
+/// are inserted; a failed measurement is recomputed (and fails again)
+/// on the next request, exactly as it would uncached.
+class BaselineMemo {
+ public:
+  explicit BaselineMemo(std::size_t capacity) : capacity_(capacity) {}
+
+  /// The memoized delay of `vp`, counting a hit or a miss.
+  std::optional<double> find(const VectorPair& vp);
+  /// find() over a batch under one lock: hits land in out[i]; returns
+  /// the indices that missed.
+  std::vector<std::size_t> find_batch(const VectorPair* const* vps, std::size_t n,
+                                      Outcome<double>* out);
+  void insert(const VectorPair& vp, double delay);
+  void fill(CacheStats& s) const;
+
+ private:
+  std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::map<std::pair<std::vector<bool>, std::vector<bool>>, double> map_;
+  std::size_t hits_ = 0, misses_ = 0, evictions_ = 0;
+};
+
+/// One shared engine per sleep W/L, bounded by evicting the least
+/// recently used entry.  Eviction drops only the cache's reference: a
+/// caller holding the shared_ptr keeps its engine alive.
+template <typename V>
+class WlCache {
+ public:
+  explicit WlCache(std::size_t capacity) : capacity_(capacity) {}
+
+  /// The entry for `wl`; on a miss `make()` builds it (under the cache
+  /// lock) after the least recently used entry is evicted from a full
+  /// cache.
+  template <typename Make>
+  std::shared_ptr<V> get(double wl, const Make& make) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = map_.find(wl);
+    if (it != map_.end()) {
+      ++hits_;
+      it->second.last_use = ++clock_;
+      return it->second.value;
+    }
+    ++misses_;
+    if (map_.size() >= capacity_) {
+      auto victim = map_.begin();
+      for (auto cand = map_.begin(); cand != map_.end(); ++cand) {
+        if (cand->second.last_use < victim->second.last_use) victim = cand;
+      }
+      map_.erase(victim);
+      ++evictions_;
+    }
+    std::shared_ptr<V> value = make();
+    return map_.emplace(wl, Slot{std::move(value), ++clock_}).first->second.value;
+  }
+
+  /// Every cached entry (a snapshot: entries stay alive while held).
+  std::vector<std::shared_ptr<V>> entries() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::shared_ptr<V>> out;
+    out.reserve(map_.size());
+    for (const auto& [wl, slot] : map_) out.push_back(slot.value);
+    return out;
+  }
+
+  void fill(CacheStats& s) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    s.sim_entries = map_.size();
+    s.sim_capacity = capacity_;
+    s.sim_hits = hits_;
+    s.sim_misses = misses_;
+    s.sim_evictions = evictions_;
+  }
+
+ private:
+  struct Slot {
+    std::shared_ptr<V> value;
+    std::uint64_t last_use = 0;
+  };
+
+  std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::map<double, Slot> map_;
+  std::uint64_t clock_ = 0;
+  std::size_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
 
 /// Abstract "delay of (VectorPair, W/L)" evaluator.  See the header
@@ -175,23 +264,12 @@ class VbsBackend : public EvalBackend {
   const core::VbsSimulator& baseline_simulator() const { return baseline_sim_; }
 
  private:
-  struct SimEntry {
-    std::shared_ptr<const core::VbsSimulator> sim;
-    std::uint64_t last_use = 0;
-  };
-
   const Netlist& nl_;
   std::vector<std::string> outputs_;
   core::VbsOptions base_;
-  EvalCacheLimits limits_;
   core::VbsSimulator baseline_sim_;  ///< R = 0 (ideal ground) reference
-  mutable std::mutex sim_mutex_;
-  mutable std::map<double, SimEntry> sim_cache_;
-  mutable std::uint64_t sim_clock_ = 0;
-  mutable std::size_t sim_hits_ = 0, sim_misses_ = 0, sim_evictions_ = 0;
-  mutable std::mutex baseline_mutex_;
-  mutable std::map<std::pair<std::vector<bool>, std::vector<bool>>, double> baseline_cache_;
-  mutable std::size_t baseline_hits_ = 0, baseline_misses_ = 0, baseline_evictions_ = 0;
+  mutable WlCache<const core::VbsSimulator> sims_;
+  mutable BaselineMemo baselines_;
 };
 
 struct SpiceBackendOptions {
@@ -264,7 +342,6 @@ class SpiceBackend : public EvalBackend {
     std::mutex pool_mutex;
     std::vector<std::unique_ptr<SpiceRef>> refs;  ///< owners, grow-only
     std::vector<SpiceRef*> idle;                  ///< currently leasable
-    std::uint64_t last_use = 0;
   };
   /// RAII lease of one pool instance; returns it on destruction.
   class Lease {
@@ -292,14 +369,9 @@ class SpiceBackend : public EvalBackend {
   const Netlist& nl_;
   std::vector<std::string> outputs_;
   SpiceBackendOptions options_;
-  mutable std::mutex cache_mutex_;
-  mutable std::map<double, std::shared_ptr<Entry>> engines_;
-  mutable std::uint64_t clock_ = 0;
-  mutable std::size_t sim_hits_ = 0, sim_misses_ = 0, sim_evictions_ = 0;
+  mutable WlCache<Entry> engines_;
   std::shared_ptr<Entry> baseline_;  ///< ideal-ground reference pool
-  mutable std::mutex baseline_mutex_;
-  mutable std::map<std::pair<std::vector<bool>, std::vector<bool>>, double> baseline_cache_;
-  mutable std::size_t baseline_hits_ = 0, baseline_misses_ = 0, baseline_evictions_ = 0;
+  mutable BaselineMemo baselines_;
 };
 
 }  // namespace mtcmos::sizing

@@ -440,8 +440,6 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
       sopt.shards = shards;
       sopt.dir = (fs::path(dir_) / "shards").string();
       sopt.cancel_token = cancel;
-      sopt.columnar_shards = true;
-      sopt.columnar_rows_per_block = spec_.chunk;
       const auto key_of = [&remaining](std::size_t i) { return chunk_key(remaining[i]); };
       // Runs inside a forked worker: its own lazily built corner
       // backends (this object was copied by the fork), a 1-thread
@@ -453,7 +451,7 @@ CampaignStats CampaignDriver::run(int shards, SweepReport* report, util::CancelT
         util::ThreadPool inline_pool(1);
         run_chunk(remaining[i], ckpt, *columnar, nullptr, cancel, &inline_pool, nullptr);
       };
-      Supervisor supervisor(sopt, remaining.size(), Supervisor::SinkItemFn(run_one), key_of);
+      Supervisor supervisor(sopt, remaining.size(), run_one, key_of);
       st.supervisor = supervisor.run(ckpt_, &store_);
     }
   }
@@ -578,10 +576,7 @@ void CampaignDriver::write_table(std::ostream& os) {
         VectorPair vp;
         std::string worst_vector = "?";
         if (parse_item_key_transition(agg.worst_key, vp)) {
-          worst_vector.clear();
-          for (const bool b : vp.v0) worst_vector += b ? '1' : '0';
-          worst_vector += "->";
-          for (const bool b : vp.v1) worst_vector += b ? '1' : '0';
+          worst_vector = bits_string(vp.v0) + "->" + bits_string(vp.v1);
         }
         os << "          \"worst_pct\": " << util::json_double(agg.worst) << ",\n";
         os << "          \"worst_vector\": " << util::json_string(worst_vector) << ",\n";

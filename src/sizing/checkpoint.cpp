@@ -6,34 +6,18 @@
 #include <sstream>
 
 #include "netlist/io.hpp"
+#include "sizing/result_sink.hpp"
 #include "util/error.hpp"
 
 namespace mtcmos::sizing {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed = kFnvOffset) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint64_t fnv1a_double(double v, std::uint64_t seed) {
   const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
   return fnv1a(&bits, sizeof(bits), seed);
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
 }
 
 std::string double_bits(double v) { return hex64(std::bit_cast<std::uint64_t>(v)); }
@@ -49,6 +33,13 @@ void append_bits(std::string& out, const std::vector<bool>& bits) {
   for (const bool b : bits) out += b ? '1' : '0';
 }
 
+// "<v0-bits>-<v1-bits>": the transition part of an item key.
+void append_transition(std::string& out, const VectorPair& vp) {
+  append_bits(out, vp.v0);
+  out += '-';
+  append_bits(out, vp.v1);
+}
+
 [[noreturn]] void throw_corrupt(const std::string& key) {
   // A CRC-valid record that fails typed decoding means the journal was
   // produced by an incompatible writer, not torn by a crash: refuse to
@@ -59,7 +50,8 @@ void append_bits(std::string& out, const std::vector<bool>& bits) {
 }
 
 /// "fail <attempts> <code> <site-len> <site><context>"
-std::string encode_failure(const Outcome<double>& o) {
+template <typename T>
+std::string encode_failure(const Outcome<T>& o) {
   std::string out = "fail " + std::to_string(o.attempts) + " " +
                     std::to_string(static_cast<int>(o.failure.code)) + " " +
                     std::to_string(o.failure.site.size()) + " ";
@@ -167,10 +159,7 @@ void Checkpoint::record(const std::string& key, const Outcome<VectorDelay>& outc
                              double_bits(vd.delay_cmos) + " " + double_bits(vd.delay_mtcmos) +
                              " " + double_bits(vd.degradation_pct));
   } else if (should_persist(outcome.failure)) {
-    Outcome<double> shim;
-    shim.attempts = outcome.attempts;
-    shim.failure = outcome.failure;
-    journal_.append(key, encode_failure(shim));
+    journal_.append(key, encode_failure(outcome));
   }
 }
 
@@ -210,6 +199,29 @@ bool Checkpoint::should_persist(const FailureInfo& failure) {
   return true;
 }
 
+std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
+
+std::string bits_string(const std::vector<bool>& bits) {
+  std::string out;
+  out.reserve(bits.size());
+  append_bits(out, bits);
+  return out;
+}
+
 std::uint64_t netlist_fingerprint(const netlist::Netlist& nl,
                                   const std::vector<std::string>& outputs) {
   std::ostringstream os;
@@ -218,22 +230,28 @@ std::uint64_t netlist_fingerprint(const netlist::Netlist& nl,
   return fnv1a(text.data(), text.size());
 }
 
-std::string checkpoint_prefix(const char* op, const char* backend_name,
-                              std::uint64_t fingerprint, double wl) {
-  return std::string(op) + ":" + backend_name + ":" + hex64(fingerprint) + ":" +
-         double_bits(wl) + ":";
+bool ItemKeys::needed(const Checkpoint* checkpoint, const ResultSink* sink) {
+  return (checkpoint != nullptr && checkpoint->armed()) || (sink != nullptr && sink->wants_keys());
 }
 
-std::string checkpoint_prefix_nowl(const char* op, const char* backend_name,
-                                   std::uint64_t fingerprint) {
-  return std::string(op) + ":" + backend_name + ":" + hex64(fingerprint) + ":";
+ItemKeys::ItemKeys(const char* op, const char* backend_name, std::uint64_t fingerprint,
+                   std::optional<double> wl)
+    : prefix_(std::string(op) + ":" + backend_name + ":" + hex64(fingerprint) + ":") {
+  if (wl) prefix_ += double_bits(*wl) + ":";
 }
 
-std::string checkpoint_item_key(const std::string& prefix, const VectorPair& vp) {
-  std::string key = prefix;
-  append_bits(key, vp.v0);
-  key += '-';
-  append_bits(key, vp.v1);
+ItemKeys::ItemKeys(bool on, const char* op, const EvalBackend& backend,
+                   std::optional<double> wl) {
+  if (on) {
+    *this = ItemKeys(op, backend.name(), netlist_fingerprint(backend.netlist(), backend.outputs()),
+                     wl);
+  }
+}
+
+std::string ItemKeys::key(const VectorPair& vp) const {
+  if (!on()) return {};
+  std::string key = prefix_;
+  append_transition(key, vp);
   return key;
 }
 
@@ -248,9 +266,7 @@ std::uint64_t sizing_args_hash(std::uint64_t fingerprint, const char* backend_na
   h = fnv1a_double(wl_tol, h);
   for (const VectorPair& vp : vectors) {
     std::string bits;
-    append_bits(bits, vp.v0);
-    bits += '-';
-    append_bits(bits, vp.v1);
+    append_transition(bits, vp);
     h = fnv1a(bits.data(), bits.size(), h);
   }
   return h;

@@ -25,6 +25,7 @@
 // values, so a journal can never silently mix two different runs.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,8 @@
 #include "util/journal.hpp"
 
 namespace mtcmos::sizing {
+
+class ResultSink;  // sizing/result_sink.hpp
 
 /// Progress of a size_for_degradation bisection, journaled after every
 /// probe so an interrupted sizing resumes knowing the live W/L interval
@@ -92,21 +95,55 @@ class Checkpoint {
   util::Journal journal_;
 };
 
+/// FNV-1a over `size` bytes, chained from `seed`.  kFnvOffset is not the
+/// standard FNV-1a offset basis (a digit short), but fingerprints, item
+/// keys and daemon request keys already on disk depend on it.
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed = kFnvOffset);
+/// `v` as 16 lowercase hex digits.
+std::string hex64(std::uint64_t v);
+/// `bits` as a run of literal '0'/'1' characters.
+std::string bits_string(const std::vector<bool>& bits);
+
 /// FNV-1a fingerprint of the canonical .mtn serialization plus the
 /// observed outputs: two sweeps share item records iff they evaluate the
 /// same circuit through the same observation points.
 std::uint64_t netlist_fingerprint(const netlist::Netlist& nl,
                                   const std::vector<std::string>& outputs);
 
-/// Key prefix for one sweep operation: "<op>:<backend>:<fp>:<wl-bits>:".
-/// Pass NaN-free wl; operations without a W/L dimension use
-/// checkpoint_prefix_nowl.
-std::string checkpoint_prefix(const char* op, const char* backend_name, std::uint64_t fingerprint,
-                              double wl);
-std::string checkpoint_prefix_nowl(const char* op, const char* backend_name,
-                                   std::uint64_t fingerprint);
-/// Item key: prefix + the v0/v1 bit strings of the transition.
-std::string checkpoint_item_key(const std::string& prefix, const VectorPair& vp);
+/// The item-key scheme, spelled once:
+/// "<op>:<backend>:<fingerprint>:[<wl-bits>:]<v0-bits>-<v1-bits>", the
+/// fingerprint as 16 hex digits and W/L as its exact double bits.
+/// Checkpoint replay, shard merge, daemon dedup and spilled rows all
+/// address an item by this string.  Built once per sweep call (or
+/// bisection probe).  Keys nothing consumes are off: key() then returns
+/// "" without formatting.
+class ItemKeys {
+ public:
+  /// Whether a sweep's items need keys: only an armed checkpoint and a
+  /// key-carrying sink consume them.
+  static bool needed(const Checkpoint* checkpoint, const ResultSink* sink);
+  /// rank_vectors' keys at `wl`, always on: how the supervisor and the
+  /// daemon's dedup address rank items.
+  static ItemKeys rank(const EvalBackend& backend, double wl) {
+    return {true, "rank", backend, wl};
+  }
+
+  ItemKeys() = default;  ///< off
+  ItemKeys(const char* op, const char* backend_name, std::uint64_t fingerprint,
+           std::optional<double> wl);
+  /// Keys for `op` on `backend`, fingerprinted by its netlist and
+  /// outputs, when `on`; off (and no fingerprint computed) otherwise.
+  ItemKeys(bool on, const char* op, const EvalBackend& backend, std::optional<double> wl);
+
+  bool on() const { return !prefix_.empty(); }
+  /// Everything before the transition bits ("" when off).
+  const std::string& prefix() const { return prefix_; }
+  std::string key(const VectorPair& vp) const;
+
+ private:
+  std::string prefix_;
+};
 
 /// Identity of one size_for_degradation invocation: fingerprint +
 /// backend + target + bounds + the full vector set.  Used to key the

@@ -42,70 +42,6 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = kFnvOffset;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::string bits_string(const std::vector<bool>& bits) {
-  std::string out;
-  out.reserve(bits.size());
-  for (const bool b : bits) out += b ? '1' : '0';
-  return out;
-}
-
-/// Compact, deterministic re-serialization of a parsed JSON value:
-/// objects keep insertion order, numbers print via json_double.  Used to
-/// canonicalize the inline campaign spec so the same client bytes always
-/// hash to the same request key and the journaled form re-parses.
-std::string dump_json(const util::JsonPtr& v) {
-  using Kind = util::JsonValue::Kind;
-  if (v == nullptr) return "null";
-  switch (v->kind()) {
-    case Kind::kNull:
-      return "null";
-    case Kind::kBool:
-      return v->as_bool() ? "true" : "false";
-    case Kind::kNumber:
-      return util::json_double(v->as_number());
-    case Kind::kString:
-      return util::json_string(v->as_string());
-    case Kind::kArray: {
-      std::string out = "[";
-      const auto& items = v->as_array();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0) out += ",";
-        out += dump_json(items[i]);
-      }
-      return out + "]";
-    }
-    case Kind::kObject: {
-      std::string out = "{";
-      bool first = true;
-      for (const std::string& key : v->object_keys()) {
-        if (!first) out += ",";
-        first = false;
-        out += util::json_string(key) + ":" + dump_json(v->get(key));
-      }
-      return out + "}";
-    }
-  }
-  return "null";
-}
-
 /// One parsed protocol request.  `canonical()` is the identity: it is
 /// what gets hashed into the request key and what the request journal
 /// stores, so a restart re-parses exactly the admitted work.  The
@@ -142,7 +78,10 @@ struct Request {
     return out + "}";
   }
 
-  std::string key() const { return hex16(fnv1a(canonical())); }
+  std::string key() const {
+    const std::string c = canonical();
+    return hex64(fnv1a(c.data(), c.size()));
+  }
 };
 
 Request parse_request(const util::JsonValue& doc) {
@@ -161,7 +100,7 @@ Request parse_request(const util::JsonValue& doc) {
   }
   if (req.op == "campaign") {
     const util::JsonPtr spec = doc.require("spec");
-    req.spec = dump_json(spec);
+    req.spec = util::dump_json(spec);
     CampaignSpec::parse(req.spec);  // validate at admission, not mid-queue
     return req;
   }
@@ -759,10 +698,9 @@ class DaemonImpl {
 
   bool all_keys_present(const EvalBackend& backend, const std::vector<VectorPair>& vectors,
                         double wl) {
-    const std::string prefix = checkpoint_prefix(
-        "rank", backend.name(), netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
+    const ItemKeys keys = ItemKeys::rank(backend, wl);
     for (const VectorPair& vp : vectors) {
-      if (store_.journal().find(checkpoint_item_key(prefix, vp)) == nullptr) return false;
+      if (store_.journal().find(keys.key(vp)) == nullptr) return false;
     }
     return true;
   }

@@ -5,14 +5,13 @@
 // caps a campaign at whatever fits in RAM.  The entry points in
 // session.hpp now *emit* each measured row into a ResultSink during their
 // serial input-order reduction; "return a vector" is just what
-// rank_vectors builds from a MemorySink afterwards (bit-for-bit the old
+// rank_vectors collects from that same reduction (bit-for-bit the old
 // values), while campaign-scale callers plug in a ColumnarSpillSink and
 // never hold more than a block of rows in memory.
 //
 // Row identity: every emission carries the item's content-derived
-// checkpoint key (checkpoint_item_key -- op, backend, netlist
-// fingerprint, W/L bits, transition bits), the same identity the journal
-// uses.  That makes spilled rows self-describing (the transition is
+// checkpoint key (ItemKeys -- op, backend, netlist fingerprint, W/L
+// bits, transition bits), the same identity the journal uses.  That makes spilled rows self-describing (the transition is
 // recoverable from the key alone), lets shard stores merge exactly like
 // shard journals, and means checkpoint *replay* feeds a sink the same
 // bytes the original run did.
@@ -38,7 +37,7 @@ class ResultSink {
 
   /// Whether emissions must carry real checkpoint keys.  Entry points
   /// skip key formatting when neither the checkpoint nor the sink needs
-  /// it, keeping the default (MemorySink-backed) path allocation-lean.
+  /// it, keeping the default (sink-less or MemorySink) path allocation-lean.
   virtual bool wants_keys() const { return false; }
 
   /// One ranked-sweep measurement (rank_vectors).  Every successfully
@@ -55,8 +54,7 @@ class ResultSink {
   virtual void flush() {}
 };
 
-/// Collects emissions in order; the in-RAM sink behind the
-/// return-a-vector entry points and the reference half of
+/// Collects emissions in order in RAM; the reference half of
 /// streaming-equivalence tests.
 class MemorySink final : public ResultSink {
  public:
@@ -113,31 +111,6 @@ class ColumnarSpillSink final : public ResultSink {
 
  private:
   util::ColumnarWriter& writer_;
-};
-
-/// Fans every emission out to two sinks (rank_vectors collecting into a
-/// MemorySink while the session's spill sink also observes the sweep).
-class TeeSink final : public ResultSink {
- public:
-  TeeSink(ResultSink& first, ResultSink& second) : first_(first), second_(second) {}
-
-  bool wants_keys() const override { return first_.wants_keys() || second_.wants_keys(); }
-  void on_delay(const std::string& key, const VectorDelay& row) override {
-    first_.on_delay(key, row);
-    second_.on_delay(key, row);
-  }
-  void on_value(const std::string& key, double value) override {
-    first_.on_value(key, value);
-    second_.on_value(key, value);
-  }
-  void flush() override {
-    first_.flush();
-    second_.flush();
-  }
-
- private:
-  ResultSink& first_;
-  ResultSink& second_;
 };
 
 /// Parse the transition bits off a checkpoint item key

@@ -12,6 +12,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -97,8 +98,8 @@ class Watchdog {
 // Everything an entry-point call resolves from its session, once: the
 // report (the caller's, or a scratch one that discards outcomes), the
 // pool, the wall-clock deadline, the cancel token, the checkpoint
-// (stripped to null unless armed, so the hot path tests one pointer) and
-// the optional watchdog.
+// (stripped to null unless armed, so the hot path tests one pointer),
+// whether item keys are needed at all, and the optional watchdog.
 struct RunCtx {
   explicit RunCtx(const EvalSession& s)
       : session(s),
@@ -106,7 +107,8 @@ struct RunCtx {
         pool(s.pool_ref()),
         deadline(Deadline::start(s.deadline_s)),
         cancel(s.cancel_ref()),
-        checkpoint(s.checkpoint != nullptr && s.checkpoint->armed() ? s.checkpoint : nullptr) {
+        checkpoint(s.checkpoint != nullptr && s.checkpoint->armed() ? s.checkpoint : nullptr),
+        keyed(ItemKeys::needed(checkpoint, s.sink)) {
     if (s.watchdog.armed()) watchdog.emplace(s.watchdog);
   }
 
@@ -130,6 +132,7 @@ struct RunCtx {
   const Deadline deadline;
   util::CancelToken& cancel;
   Checkpoint* const checkpoint;
+  const bool keyed;  ///< ItemKeys::needed: a checkpoint or a key-carrying sink
   std::optional<Watchdog> watchdog;
 };
 
@@ -239,135 +242,177 @@ std::size_t batch_chunk(const EvalSession& session, const EvalBackend& backend) 
   return session.batch == 0 ? kDefaultBatch : session.batch;
 }
 
-// Per-index delays precomputed through the backend's batch path and
-// consumed (once) by the run_item bodies in place of the scalar backend
-// call.  A consumed failure is rethrown as the NumericalError the scalar
-// call would have thrown; because slots are consume-once, retry attempts
-// fall back to the live backend, which reproduces the same deterministic
-// outcome -- so attempt counts, failure records and checkpoint contents
-// match the scalar path exactly.  Workers touch disjoint indices only.
-class BatchMemo {
- public:
-  void reset(std::size_t n) {
-    slots_.assign(n, {});
-    has_.assign(n, 0);
-  }
-  void put(std::size_t i, Outcome<double> o) {
-    slots_[i] = std::move(o);
-    has_[i] = 1;
-  }
-  bool ok_positive(std::size_t i) const {
-    return i < has_.size() && has_[i] != 0 && slots_[i].ok() && *slots_[i].value > 0.0;
-  }
-  template <typename Fn>
-  double take(std::size_t i, Fn&& fallback) {
-    if (i < has_.size() && has_[i] != 0) {
-      has_[i] = 0;
-      const Outcome<double> o = std::move(slots_[i]);
-      if (!o.ok()) throw NumericalError(o.failure);
-      return *o.value;
-    }
-    return fallback();
-  }
-
- private:
-  std::vector<Outcome<double>> slots_;
-  std::vector<std::uint8_t> has_;
-};
-
-// Indices of `vectors` (of `subset` when given) whose item key is not
-// already journaled: only these form batches, so checkpoint keys and
-// records are untouched by batching and a resumed run re-forms batches
-// from the remaining items.
+// Baseline and sized delays of one W/L's items, precomputed through the
+// backend's batch path and consumed (once) by the run_item bodies in
+// place of the scalar backend call; shared by rank_vectors, every
+// size_for_degradation probe phase and search_worst_vector's sample pass.
+//
+// Construction batches the items (of `subset`, when given) whose key is
+// not already journaled as a record of type T -- so checkpoint keys and
+// records are untouched by batching, and a resumed run batches only the
+// remaining items.  Baselines go first (after a bisection's first probe
+// they are all backend-memo hits), then the sized delay only where the
+// baseline toggled the outputs, mirroring row()'s early
+// return; without `with_baseline` every item's sized delay is batched.
+//
+// row(i) and at_wl(i) fall back to the scalar backend calls when the
+// batch path stood down.  A consumed failure is rethrown as the
+// NumericalError the scalar call would have thrown; because slots are
+// consume-once, retry attempts fall back to the live backend, which
+// reproduces the same deterministic outcome -- so attempt counts, failure
+// records and checkpoint contents match the scalar path exactly.  Workers
+// touch disjoint indices only.
 template <typename T>
-std::vector<std::size_t> batch_todo(Checkpoint* ckpt, const std::string& prefix,
-                                    const std::vector<VectorPair>& vectors,
-                                    const std::vector<std::size_t>* subset = nullptr) {
-  const std::size_t n = subset != nullptr ? subset->size() : vectors.size();
-  std::vector<std::size_t> todo;
-  todo.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = subset != nullptr ? (*subset)[k] : k;
-    if (ckpt != nullptr) {
-      Outcome<T> cached;
-      if (ckpt->lookup(checkpoint_item_key(prefix, vectors[i]), cached)) continue;
-    }
-    todo.push_back(i);
-  }
-  return todo;
-}
-
-// Fan one batched evaluation over the pool: indices in `idx` (into
-// `vectors`) run in `chunk`-sized groups, one backend batch call each,
-// results landing in `memo`.  Chunks not yet started when the session is
-// cancelled or the deadline expires are skipped; run_item classifies
-// those items normally when it reaches them.
-template <typename BatchFn>
-void batch_precompute(const RunCtx& ctx, const std::vector<VectorPair>& vectors,
-                      const std::vector<std::size_t>& idx, std::size_t chunk, BatchMemo& memo,
-                      const BatchFn& call) {
-  if (idx.empty()) return;
-  const std::size_t nchunks = (idx.size() + chunk - 1) / chunk;
-  ctx.pool.parallel_for(nchunks, [&](std::size_t c) {
-    if (ctx.cancel.requested() || ctx.deadline.expired()) return;
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(begin + chunk, idx.size());
-    std::vector<const VectorPair*> vps(end - begin);
-    for (std::size_t k = begin; k < end; ++k) vps[k - begin] = &vectors[idx[k]];
-    std::vector<Outcome<double>> out(end - begin);
-    call(vps.data(), vps.size(), out.data());
-    for (std::size_t k = begin; k < end; ++k) memo.put(idx[k], std::move(out[k - begin]));
-  });
-}
-
-// Baseline and sized delays of one W/L's items, shared by rank_vectors
-// and every size_for_degradation probe phase.  Construction runs the
-// batch fast path over the items (of `subset`, when given) not already
-// journaled (as checkpoint records of type T under `prefix`): baselines
-// first (after a bisection's first probe they are all backend-memo
-// hits), then the sized delay only where the baseline toggled the
-// outputs, mirroring the scalar bodies' early return.  baseline(i) and
-// at_wl(i) consume the memo, falling back to the scalar backend call
-// when the batch path stood down or a retry runs.
-template <typename T>
-class DegradationMemo {
+class DelayMemo {
  public:
-  DegradationMemo(const RunCtx& ctx, const EvalBackend& backend,
-                  const std::vector<VectorPair>& vectors, double wl, const std::string& prefix,
-                  const std::vector<std::size_t>* subset = nullptr)
+  DelayMemo(const RunCtx& ctx, const EvalBackend& backend, const std::vector<VectorPair>& vectors,
+            double wl, const ItemKeys& keys, const std::vector<std::size_t>* subset = nullptr,
+            bool with_baseline = true)
       : backend_(backend), vectors_(vectors), wl_(wl) {
     const std::size_t chunk = batch_chunk(ctx.session, backend);
     if (chunk == 0 || ctx.cancel.requested()) return;
-    const std::vector<std::size_t> todo = batch_todo<T>(ctx.checkpoint, prefix, vectors, subset);
-    base_.reset(vectors.size());
-    sized_.reset(vectors.size());
-    batch_precompute(ctx, vectors, todo, chunk, base_,
-                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                       backend.delay_baseline_batch(vps, n, out);
-                     });
-    std::vector<std::size_t> toggled;
-    toggled.reserve(todo.size());
-    for (const std::size_t i : todo) {
-      if (base_.ok_positive(i)) toggled.push_back(i);
+    const std::size_t n = subset != nullptr ? subset->size() : vectors.size();
+    std::vector<std::size_t> todo;
+    todo.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = subset != nullptr ? (*subset)[k] : k;
+      Outcome<T> cached;
+      if (ctx.checkpoint == nullptr || !ctx.checkpoint->lookup(keys.key(vectors[i]), cached)) {
+        todo.push_back(i);
+      }
     }
-    batch_precompute(ctx, vectors, toggled, chunk, sized_,
-                     [&](const VectorPair* const* vps, std::size_t n, Outcome<double>* out) {
-                       backend.delay_at_wl_batch(vps, n, wl, out);
-                     });
+    if (with_baseline) {
+      precompute(ctx, todo, chunk, base_,
+                 [&](const VectorPair* const* vps, std::size_t m, Outcome<double>* out) {
+                   backend.delay_baseline_batch(vps, m, out);
+                 });
+      std::erase_if(todo, [&](std::size_t i) {
+        return !base_[i] || !base_[i]->ok() || !(*base_[i]->value > 0.0);
+      });
+    }
+    precompute(ctx, todo, chunk, sized_,
+               [&](const VectorPair* const* vps, std::size_t m, Outcome<double>* out) {
+                 backend.delay_at_wl_batch(vps, m, wl, out);
+               });
   }
 
-  double baseline(std::size_t i) {
-    return base_.take(i, [&] { return backend_.delay_baseline(vectors_[i]); });
-  }
   double at_wl(std::size_t i) {
-    return sized_.take(i, [&] { return backend_.delay_at_wl(vectors_[i], wl_); });
+    return take(sized_, i, [&] { return backend_.delay_at_wl(vectors_[i], wl_); });
+  }
+  /// Item i's delays and degradation; the sized delay only where the
+  /// baseline toggled the outputs.
+  VectorDelay row(std::size_t i) {
+    VectorDelay vd;
+    vd.delay_cmos = take(base_, i, [&] { return backend_.delay_baseline(vectors_[i]); });
+    if (vd.delay_cmos <= 0.0) return vd;
+    vd.delay_mtcmos = at_wl(i);
+    if (vd.delay_mtcmos <= 0.0) return vd;
+    vd.degradation_pct = (vd.delay_mtcmos - vd.delay_cmos) / vd.delay_cmos * 100.0;
+    return vd;
   }
 
  private:
+  using Slots = std::vector<std::optional<Outcome<double>>>;
+
+  // Fan one batched evaluation over the pool: the items in `idx` run in
+  // `chunk`-sized groups, one backend batch call each.  Chunks not yet
+  // started when the session is cancelled or the deadline expires are
+  // skipped; run_item classifies those items normally when it reaches
+  // them.
+  template <typename BatchFn>
+  void precompute(const RunCtx& ctx, const std::vector<std::size_t>& idx, std::size_t chunk,
+                  Slots& slots, const BatchFn& call) {
+    slots.resize(vectors_.size());
+    ctx.pool.parallel_for((idx.size() + chunk - 1) / chunk, [&](std::size_t c) {
+      if (ctx.cancel.requested() || ctx.deadline.expired()) return;
+      const std::size_t begin = c * chunk;
+      const std::size_t end = std::min(begin + chunk, idx.size());
+      std::vector<const VectorPair*> vps(end - begin);
+      for (std::size_t k = begin; k < end; ++k) vps[k - begin] = &vectors_[idx[k]];
+      std::vector<Outcome<double>> out(end - begin);
+      call(vps.data(), vps.size(), out.data());
+      for (std::size_t k = begin; k < end; ++k) slots[idx[k]] = std::move(out[k - begin]);
+    });
+  }
+
+  template <typename Fn>
+  static double take(Slots& slots, std::size_t i, const Fn& fallback) {
+    if (i >= slots.size() || !slots[i]) return fallback();
+    const Outcome<double> o = std::move(*slots[i]);
+    slots[i].reset();
+    if (!o.ok()) throw NumericalError(o.failure);
+    return *o.value;
+  }
+
   const EvalBackend& backend_;
   const std::vector<VectorPair>& vectors_;
   double wl_;
-  BatchMemo base_, sized_;
+  Slots base_, sized_;
+};
+
+void emit(ResultSink& sink, const std::string& key, double value) { sink.on_value(key, value); }
+void emit(ResultSink& sink, const std::string& key, const VectorDelay& row) {
+  sink.on_delay(key, row);
+}
+
+// The evaluate-and-reduce step every sweep runs over its items.
+// evaluate() fills index-addressed Outcome slots through run_item on the
+// pool; reduce() then walks the items serially in input order, admitting
+// each outcome, emitting each success into the session sink under its
+// item key, and handing it to `take`.  The report, the emission stream and
+// whatever `take` builds are therefore identical for any thread count,
+// and a failed item only removes itself.  Both take an optional ascending
+// `subset` of indices (nullptr = every item).
+template <typename T>
+class Sweep {
+ public:
+  Sweep(RunCtx& ctx, const ItemKeys& keys, const std::vector<VectorPair>& vectors)
+      : slots(vectors.size()), ctx_(ctx), keys_(keys), vectors_(vectors) {}
+
+  /// `body(i)` computes item i; `grain` items go to each pool task.
+  /// Plain parallel_for: run_item already absorbs NumericalErrors, so the
+  /// only exceptions that reach the pool are precondition bugs (and
+  /// journal write failures), which should cancel and propagate.
+  template <typename Body>
+  void evaluate(const std::vector<std::size_t>* subset, const Body& body,
+                std::size_t grain = 1) {
+    const std::size_t n = subset != nullptr ? subset->size() : vectors_.size();
+    ctx_.pool.parallel_for((n + grain - 1) / grain, [&](std::size_t c) {
+      for (std::size_t k = c * grain; k < std::min(n, (c + 1) * grain); ++k) {
+        const std::size_t i = subset != nullptr ? (*subset)[k] : k;
+        const std::string key =
+            ctx_.checkpoint != nullptr ? keys_.key(vectors_[i]) : std::string();
+        slots[i] = run_item<T>(ctx_, i, key, [&] { return body(i); });
+        // The transition lives in the key, not the record; re-attach it
+        // for computed and replayed rows alike.
+        if constexpr (std::is_same_v<T, VectorDelay>) {
+          if (slots[i].ok()) slots[i].value->pair = vectors_[i];
+        }
+      }
+    });
+  }
+
+  /// `take(i, value)` sees each successful item in input order.  `flush`
+  /// makes the sink's durability point the end of this reduction.
+  template <typename Take>
+  void reduce(const std::vector<std::size_t>* subset, const Take& take, bool flush = true) {
+    ResultSink* const sink = ctx_.session.sink;
+    const std::size_t n = subset != nullptr ? subset->size() : vectors_.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = subset != nullptr ? (*subset)[k] : k;
+      if (!ctx_.admit(i, slots[i])) continue;
+      if (sink != nullptr) emit(*sink, keys_.key(vectors_[i]), *slots[i].value);
+      take(i, *slots[i].value);
+    }
+    if (flush && sink != nullptr) sink->flush();
+  }
+
+  std::vector<Outcome<T>> slots;
+
+ private:
+  RunCtx& ctx_;
+  const ItemKeys& keys_;
+  const std::vector<VectorPair>& vectors_;
 };
 
 // The `k` worst entries of one fully evaluated probe, by degradation
@@ -391,56 +436,19 @@ std::vector<std::size_t> worst_indices(const std::vector<Outcome<double>>& deg, 
   return idx;
 }
 
-// Streaming core shared by the materializing and streaming rank_vectors
-// fronts: evaluate, then emit every successfully measured row (computed
-// or checkpoint-replayed alike) into `sink` during the serial
-// input-order reduction.  Rows live only in the per-call Outcome slots;
-// what persists beyond the call is whatever the sink keeps.
-std::size_t rank_vectors_into(const EvalBackend& backend,
-                              const std::vector<VectorPair>& vectors, double wl,
-                              const EvalSession& session, ResultSink& sink) {
+// The rank sweep behind both rank_vectors fronts: every successfully
+// measured row (computed or checkpoint-replayed alike) goes to the
+// session sink, when one is set, and to `take`.
+template <typename Take>
+void rank_into(const EvalBackend& backend, const std::vector<VectorPair>& vectors, double wl,
+               const EvalSession& session, const Take& take) {
   RunCtx ctx(session);
-  // Keys are formatted when anyone consumes them -- the checkpoint for
-  // replay/record, or a key-carrying sink (columnar spill) for row
-  // identity.  The plain in-RAM path skips the formatting entirely.
-  const bool need_keys = ctx.checkpoint != nullptr || sink.wants_keys();
-  std::string prefix;
-  if (need_keys) {
-    prefix = checkpoint_prefix("rank", backend.name(),
-                               netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
-  }
+  const ItemKeys keys(ctx.keyed, "rank", backend, wl);
   if (!ctx.cancel.requested()) backend.prepare_wl(wl);
-  DegradationMemo<VectorDelay> memo(ctx, backend, vectors, wl, prefix);
-  // Evaluate into per-index Outcome slots, then reduce in input order:
-  // the sink sees the exact sequence the serial loop produced, so the
-  // emission stream is bit-identical for any thread count, and a failed
-  // item only removes itself from the stream.
-  std::vector<Outcome<VectorDelay>> measured(vectors.size());
-  ctx.pool.parallel_for(vectors.size(), [&](std::size_t i) {
-    const std::string key =
-        ctx.checkpoint != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
-    measured[i] = run_item<VectorDelay>(ctx, i, key, [&] {
-      VectorDelay vd;
-      vd.delay_cmos = memo.baseline(i);
-      if (vd.delay_cmos <= 0.0) return vd;
-      vd.delay_mtcmos = memo.at_wl(i);
-      if (vd.delay_mtcmos <= 0.0) return vd;
-      vd.degradation_pct = (vd.delay_mtcmos - vd.delay_cmos) / vd.delay_cmos * 100.0;
-      return vd;
-    });
-    // The transition itself lives in the checkpoint key, not the record;
-    // re-attach it for computed and replayed outcomes alike.
-    if (measured[i].ok()) measured[i].value->pair = vectors[i];
-  });
-  std::size_t emitted = 0;
-  for (std::size_t i = 0; i < measured.size(); ++i) {
-    if (!ctx.admit(i, measured[i])) continue;
-    sink.on_delay(need_keys ? checkpoint_item_key(prefix, vectors[i]) : std::string(),
-                  *measured[i].value);
-    ++emitted;
-  }
-  sink.flush();
-  return emitted;
+  DelayMemo<VectorDelay> memo(ctx, backend, vectors, wl, keys);
+  Sweep<VectorDelay> sweep(ctx, keys, vectors);
+  sweep.evaluate(nullptr, [&](std::size_t i) { return memo.row(i); });
+  sweep.reduce(nullptr, take);
 }
 
 }  // namespace
@@ -448,22 +456,12 @@ std::size_t rank_vectors_into(const EvalBackend& backend,
 std::vector<VectorDelay> rank_vectors(const EvalBackend& backend,
                                       const std::vector<VectorPair>& vectors, double wl,
                                       const EvalSession& session) {
-  // Materializing front: collect the emission stream in RAM, then apply
-  // the return-value contract -- drop non-switching rows, sort worst-first.
-  // The filter and sort see the exact row sequence the pre-sink reduction
-  // produced, so the returned vector is bit-identical to it.
-  MemorySink mem;
-  if (session.sink != nullptr) {
-    TeeSink tee(mem, *session.sink);
-    rank_vectors_into(backend, vectors, wl, session, tee);
-  } else {
-    rank_vectors_into(backend, vectors, wl, session, mem);
-  }
+  // The return-value contract over the reduction's row stream: drop
+  // non-switching rows, sort worst-first.
   std::vector<VectorDelay> out;
-  out.reserve(mem.delays.size());
-  for (MemorySink::DelayRow& d : mem.delays) {
-    if (d.row.delay_cmos > 0.0 && d.row.delay_mtcmos > 0.0) out.push_back(std::move(d.row));
-  }
+  rank_into(backend, vectors, wl, session, [&](std::size_t, const VectorDelay& row) {
+    if (row.delay_cmos > 0.0 && row.delay_mtcmos > 0.0) out.push_back(row);
+  });
   std::sort(out.begin(), out.end(), [](const VectorDelay& a, const VectorDelay& b) {
     return a.degradation_pct > b.degradation_pct;
   });
@@ -476,7 +474,9 @@ std::size_t rank_vectors_stream(const EvalBackend& backend,
   if (session.sink == nullptr) {
     throw std::invalid_argument("rank_vectors_stream: session.sink must be set");
   }
-  return rank_vectors_into(backend, vectors, wl, session, *session.sink);
+  std::size_t emitted = 0;
+  rank_into(backend, vectors, wl, session, [&](std::size_t, const VectorDelay&) { ++emitted; });
+  return emitted;
 }
 
 SizingResult size_for_degradation(const EvalBackend& backend,
@@ -509,17 +509,16 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   // probe sequence (the item records replay each completed probe without
   // simulating), so the state record is the run's progress diagnostic --
   // and its key doubles as the run identity guard.
-  ResultSink* sink = session.sink;
-  const bool sink_keys = sink != nullptr && sink->wants_keys();
-  std::uint64_t fp = 0;
+  const std::uint64_t fp =
+      ctx.keyed ? netlist_fingerprint(backend.netlist(), backend.outputs()) : 0;
   std::string bisect_key;
   std::size_t probes = 0;
-  if (ckpt != nullptr || sink_keys) fp = netlist_fingerprint(backend.netlist(), backend.outputs());
   if (ckpt != nullptr) {
-    bisect_key = checkpoint_prefix_nowl(
-        "bisect", backend.name(),
-        sizing_args_hash(fp, backend.name(), vectors, target_pct, bounds.wl_min, bounds.wl_max,
-                         bounds.wl_tol));
+    bisect_key = ItemKeys("bisect", backend.name(),
+                          sizing_args_hash(fp, backend.name(), vectors, target_pct,
+                                           bounds.wl_min, bounds.wl_max, bounds.wl_tol),
+                          std::nullopt)
+                     .prefix();
   }
   const auto record_state = [&](int phase, double lo, double hi, double hi_deg,
                                 std::size_t hi_idx) {
@@ -544,27 +543,14 @@ SizingResult size_for_degradation(const EvalBackend& backend,
   // failure in input order, which the full reduction rethrows.
   auto worst_at = [&](double wl, std::optional<std::size_t> incumbent) {
     if (!ctx.cancel.requested()) backend.prepare_wl(wl);
-    std::string prefix;
-    if (ckpt != nullptr || sink_keys) prefix = checkpoint_prefix("probe", backend.name(), fp, wl);
-    std::vector<Outcome<double>> deg(vectors.size());
-    // Plain parallel_for: run_item already absorbs NumericalErrors, so the
-    // only exceptions that reach the pool are precondition bugs (and
-    // journal write failures), which should cancel and propagate.
+    const ItemKeys keys = ctx.keyed ? ItemKeys("probe", backend.name(), fp, wl) : ItemKeys();
+    Sweep<double> probe(ctx, keys, vectors);
+    const std::vector<Outcome<double>>& deg = probe.slots;
     const auto measure = [&](const std::vector<std::size_t>* subset) {
-      DegradationMemo<double> memo(ctx, backend, vectors, wl, prefix, subset);
-      const std::size_t n = subset != nullptr ? subset->size() : vectors.size();
-      ctx.pool.parallel_for(n, [&](std::size_t k) {
-        const std::size_t i = subset != nullptr ? (*subset)[k] : k;
-        const std::string key =
-            ckpt != nullptr ? checkpoint_item_key(prefix, vectors[i]) : std::string();
-        deg[i] = run_item<double>(ctx, i, key, [&] {
-          // degradation_pct unrolled over the memo; identical arithmetic.
-          const double d0 = memo.baseline(i);
-          if (d0 <= 0.0) return -1.0;
-          const double d1 = memo.at_wl(i);
-          if (d1 <= 0.0) return -1.0;
-          return (d1 - d0) / d0 * 100.0;
-        });
+      DelayMemo<double> memo(ctx, backend, vectors, wl, keys, subset);
+      probe.evaluate(subset, [&](std::size_t i) {
+        const VectorDelay vd = memo.row(i);
+        return vd.delay_mtcmos > 0.0 ? vd.degradation_pct : -1.0;  // -1: no toggle
       });
     };
     std::vector<std::size_t> first;  // phase 1, ascending
@@ -593,28 +579,20 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     double worst = -1.0;
     std::size_t worst_idx = 0;
     bool any_ok = false;
-    const auto reduce = [&](std::size_t i) {
-      if (!ctx.admit(i, deg[i])) return;
-      if (sink != nullptr) {
-        sink->on_value(sink_keys || ckpt != nullptr
-                           ? checkpoint_item_key(prefix, vectors[i])
-                           : std::string(),
-                       *deg[i].value);
-      }
+    const auto take = [&](std::size_t i, double value) {
       any_ok = true;
-      if (*deg[i].value > worst) {
-        worst = *deg[i].value;
+      if (value > worst) {
+        worst = value;
         worst_idx = i;
       }
     };
     if (decided) {
-      for (const std::size_t i : first) reduce(i);
+      probe.reduce(&first, take);
       ctx.report.add_decided_early(vectors.size() - first.size());
     } else {
-      for (std::size_t i = 0; i < vectors.size(); ++i) reduce(i);
+      probe.reduce(nullptr, take);
       top = worst_indices(deg, kDefaultBatch);
     }
-    if (sink != nullptr) sink->flush();
     if (!any_ok) {
       // Keep the first failure's code: an all-cancelled probe surfaces as
       // kCancelled so callers distinguish "interrupted" from "diverged".
@@ -679,57 +657,31 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   RunCtx ctx(session);
   const int n = static_cast<int>(backend.netlist().inputs().size());
   ResultSink* sink = session.sink;
-  const bool need_keys = ctx.checkpoint != nullptr || (sink != nullptr && sink->wants_keys());
-  std::string prefix;
-  if (need_keys) {
-    prefix = checkpoint_prefix("search", backend.name(),
-                               netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
-  }
+  // Transition-content keys, so a candidate revisited by the greedy walk
+  // (or by a resumed run) replays instead of re-running.
+  const ItemKeys keys(ctx.keyed, "search", backend, wl);
   if (!ctx.cancel.requested()) backend.prepare_wl(wl);
 
-  auto score = [&](const VectorPair& vp) -> double {
-    // Objective: absolute MTCMOS delay (what the designer must cover).
-    return backend.delay_at_wl(vp, wl);
-  };
-  // Checkpoint keys are transition-content keys, so a candidate revisited
-  // by the greedy walk (or by a resumed run) replays instead of re-running.
-  auto item_key = [&](const VectorPair& vp) {
-    return need_keys ? checkpoint_item_key(prefix, vp) : std::string();
-  };
-
   // Sample pass: the RNG draws stay serial (reproducible from the seed);
-  // the expensive scoring fans out, and the serial first-maximum
-  // reduction -- which skips failed samples -- keeps the winner identical
-  // for any thread count.  The batch fast path precomputes the sample
-  // scores; the greedy refinement below stays scalar, because each
-  // candidate is derived from the current best and so depends on the
-  // previous candidate's verdict.
+  // the scoring -- absolute MTCMOS delay, what the designer must cover --
+  // fans out through the batch memo, and the serial first-maximum
+  // reduction, which skips failed samples, keeps the winner identical for
+  // any thread count.  The sink flushes once, after the refinement.
   const std::vector<VectorPair> sampled = sampled_vector_pairs(n, samples, rng);
-  const std::size_t chunk = batch_chunk(session, backend);
-  BatchMemo score_memo;
-  if (chunk > 0 && !ctx.cancel.requested()) {
-    const std::vector<std::size_t> todo = batch_todo<double>(ctx.checkpoint, prefix, sampled);
-    score_memo.reset(sampled.size());
-    batch_precompute(ctx, sampled, todo, chunk, score_memo,
-                     [&](const VectorPair* const* vps, std::size_t n2, Outcome<double>* out) {
-                       backend.delay_at_wl_batch(vps, n2, wl, out);
-                     });
-  }
-  std::vector<Outcome<double>> scores(sampled.size());
-  ctx.pool.parallel_for(sampled.size(), [&](std::size_t i) {
-    scores[i] = run_item<double>(ctx, i, item_key(sampled[i]),
-                                 [&] { return score_memo.take(i, [&] { return score(sampled[i]); }); });
-  });
+  DelayMemo<double> memo(ctx, backend, sampled, wl, keys, nullptr, /*with_baseline=*/false);
+  Sweep<double> scores(ctx, keys, sampled);
+  scores.evaluate(nullptr, [&](std::size_t i) { return memo.at_wl(i); });
   VectorPair best;
   double best_score = -1.0;
-  for (std::size_t i = 0; i < sampled.size(); ++i) {
-    if (!ctx.admit(i, scores[i])) continue;
-    if (sink != nullptr) sink->on_value(item_key(sampled[i]), *scores[i].value);
-    if (*scores[i].value > best_score) {
-      best_score = *scores[i].value;
-      best = sampled[i];
-    }
-  }
+  scores.reduce(
+      nullptr,
+      [&](std::size_t i, double score) {
+        if (score > best_score) {
+          best_score = score;
+          best = sampled[i];
+        }
+      },
+      /*flush=*/false);
   if (best_score <= 0.0 && ctx.cancel.requested()) {
     throw NumericalError({FailureCode::kCancelled, "sizing::search_worst_vector",
                           "cancelled before any sample completed"});
@@ -737,8 +689,10 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   require(best_score > 0.0, "search_worst_vector: no sampled vector toggles the outputs");
 
   // Greedy single-bit-flip refinement on both endpoints of the transition.
-  // Candidates continue the fault-injection scope numbering after the
-  // samples; a failed candidate simply counts as no-improvement.
+  // It stays scalar: each candidate derives from the current best, so it
+  // depends on the previous candidate's verdict.  Candidates continue the
+  // fault-injection scope numbering after the samples; a failed candidate
+  // simply counts as no-improvement.
   std::size_t cand_index = sampled.size();
   bool improved = true;
   int rounds = 0;
@@ -749,10 +703,11 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
         VectorPair cand = best;
         auto& vec = (side == 0) ? cand.v0 : cand.v1;
         vec[static_cast<std::size_t>(bit)] = !vec[static_cast<std::size_t>(bit)];
+        const std::string key = keys.key(cand);
         const Outcome<double> s =
-            run_item<double>(ctx, cand_index, item_key(cand), [&] { return score(cand); });
+            run_item<double>(ctx, cand_index, key, [&] { return backend.delay_at_wl(cand, wl); });
         if (!ctx.admit(cand_index++, s)) continue;
-        if (sink != nullptr) sink->on_value(item_key(cand), *s.value);
+        if (sink != nullptr) sink->on_value(key, *s.value);
         if (*s.value > best_score) {
           best_score = *s.value;
           best = std::move(cand);
@@ -778,42 +733,22 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
                                        const EvalSession& session) {
   require(keep >= 1, "screen_vectors: keep must be >= 1");
   RunCtx ctx(session);
-  ResultSink* sink = session.sink;
-  const bool need_keys = ctx.checkpoint != nullptr || (sink != nullptr && sink->wants_keys());
-  std::string prefix;
-  if (need_keys) {
-    // Logic-level screening involves no backend: key on the bare netlist.
-    prefix = checkpoint_prefix_nowl("screen", "logic", netlist_fingerprint(nl, {}));
-  }
+  // Logic-level screening involves no backend: key on the bare netlist.
+  const ItemKeys keys =
+      ctx.keyed ? ItemKeys("screen", "logic", netlist_fingerprint(nl, {}), std::nullopt)
+                : ItemKeys();
   // Chunked dispatch: falling_discharge_weight is cheap relative to a
   // pool task handoff, so workers claim session.batch candidates per
   // pool index instead of one.  Slots stay index-addressed and run_item
   // still runs per item (scope stamps, checkpoint keys unchanged), so
   // the ranking is identical for any thread count or chunk size.
-  std::vector<Outcome<double>> weights(candidates.size());
-  const std::size_t chunk =
-      std::max<std::size_t>(1, session.batch == 0 ? kDefaultBatch : session.batch);
-  const std::size_t nchunks = (candidates.size() + chunk - 1) / chunk;
-  ctx.pool.parallel_for(nchunks, [&](std::size_t c) {
-    const std::size_t end = std::min((c + 1) * chunk, candidates.size());
-    for (std::size_t i = c * chunk; i < end; ++i) {
-      const std::string key = ctx.checkpoint != nullptr ? checkpoint_item_key(prefix, candidates[i])
-                                                        : std::string();
-      weights[i] = run_item<double>(ctx, i, key,
-                                    [&] { return falling_discharge_weight(nl, candidates[i]); });
-    }
-  });
+  Sweep<double> weights(ctx, keys, candidates);
+  weights.evaluate(
+      nullptr, [&](std::size_t i) { return falling_discharge_weight(nl, candidates[i]); },
+      std::max<std::size_t>(1, session.batch == 0 ? kDefaultBatch : session.batch));
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (!ctx.admit(i, weights[i])) continue;
-    if (sink != nullptr) {
-      sink->on_value(need_keys ? checkpoint_item_key(prefix, candidates[i]) : std::string(),
-                     *weights[i].value);
-    }
-    scored.emplace_back(*weights[i].value, i);
-  }
-  if (sink != nullptr) sink->flush();
+  weights.reduce(nullptr, [&](std::size_t i, double weight) { scored.emplace_back(weight, i); });
   std::sort(scored.begin(), scored.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<VectorPair> out;
@@ -849,17 +784,11 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
       {&reference, false, &out.reference_delay},
   };
   ResultSink* sink = session.sink;
-  const bool need_keys = ctx.checkpoint != nullptr || (sink != nullptr && sink->wants_keys());
   for (std::size_t i = 0; i < 4; ++i) {
     const Probe& p = probes[i];
-    std::string key;
-    if (need_keys) {
-      key = checkpoint_item_key(
-          checkpoint_prefix(p.baseline ? "verify-baseline" : "verify-wl", p.backend->name(),
-                            netlist_fingerprint(p.backend->netlist(), p.backend->outputs()),
-                            result.wl),
-          vp);
-    }
+    const std::string key =
+        ItemKeys(ctx.keyed, p.baseline ? "verify-baseline" : "verify-wl", *p.backend, result.wl)
+            .key(vp);
     const Outcome<double> o = run_item<double>(ctx, i, key, [&] {
       return p.baseline ? p.backend->delay_baseline(vp)
                         : p.backend->delay_at_wl(vp, result.wl);

@@ -88,7 +88,7 @@ struct EvalSession {
   /// input-order reduction, keyed by the item's content-derived
   /// checkpoint key.  Emission order is deterministic for any thread
   /// count.  nullptr disables (the returned values are unchanged either
-  /// way: internally they are built from a MemorySink).
+  /// way: they are collected from the same reduction).
   ResultSink* sink = nullptr;
   /// Chunk size for the backend's batch fast path (EvalBackend::
   /// delay_*_batch, the SoA cohort kernel on VbsBackend).  0 = auto:

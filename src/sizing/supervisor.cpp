@@ -55,9 +55,9 @@ void write_torn_tail(const std::string& journal_path) {
 /// process generation, so tests can script "die on this item's first
 /// two attempts" deterministically.
 int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path,
-                const std::string& columnar_path,
+                const std::string& columnar_path, std::size_t columnar_rows,
                 const std::vector<std::pair<std::size_t, int>>& items,
-                const SupervisorOptions& options, const Supervisor::SinkItemFn& run_one,
+                const SupervisorOptions& options, const Supervisor::ItemFn& run_one,
                 const Supervisor::KeyFn& key_of) {
   util::install_cancel_signal_handlers();
   util::CancelToken& cancel = util::CancelToken::global();
@@ -70,7 +70,7 @@ int worker_main(int wfd, std::size_t slot_index, const std::string& journal_path
   util::ColumnarWriter columnar;
   if (!columnar_path.empty()) {
     util::ColumnarOptions copts;
-    copts.rows_per_block = options.columnar_rows_per_block;
+    copts.rows_per_block = columnar_rows;
     columnar.open(columnar_path, copts);
   }
 
@@ -178,14 +178,6 @@ Supervisor::Supervisor(SupervisorOptions options, std::size_t n_items, ItemFn ru
                        KeyFn key_of)
     : options_(std::move(options)),
       n_items_(n_items),
-      run_one_([inner = std::move(run_one)](std::size_t idx, Checkpoint& ckpt,
-                                            util::ColumnarWriter*) { inner(idx, ckpt); }),
-      key_of_(std::move(key_of)) {}
-
-Supervisor::Supervisor(SupervisorOptions options, std::size_t n_items, SinkItemFn run_one,
-                       KeyFn key_of)
-    : options_(std::move(options)),
-      n_items_(n_items),
       run_one_(std::move(run_one)),
       key_of_(std::move(key_of)) {}
 
@@ -197,10 +189,10 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
     throw std::invalid_argument("supervisor: the merged checkpoint must be armed");
   }
   if (options_.shards < 1) throw std::invalid_argument("supervisor: shards must be >= 1");
-  if (options_.columnar_shards && (columnar == nullptr || !columnar->is_open())) {
-    throw std::invalid_argument(
-        "supervisor: columnar_shards requires an open columnar merge destination");
+  if (columnar != nullptr && !columnar->is_open()) {
+    throw std::invalid_argument("supervisor: the columnar merge destination must be open");
   }
+  const std::size_t columnar_rows = columnar != nullptr ? columnar->rows_per_block() : 0;
   std::filesystem::create_directories(options_.dir);
 
   SupervisorStats stats;
@@ -226,8 +218,8 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
       items.emplace_back(idx, it == strikes.end() ? 0 : it->second);
     }
     const util::ChildProcess child = util::spawn_child([&, s, items](int wfd) {
-      return worker_main(wfd, s, slots[s].journal_path, slots[s].columnar_path, items, options_,
-                         run_one_, key_of_);
+      return worker_main(wfd, s, slots[s].journal_path, slots[s].columnar_path, columnar_rows,
+                         items, options_, run_one_, key_of_);
     });
     slot.pid = child.pid;
     slot.fd = child.pipe_fd;
@@ -241,7 +233,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     Slot& slot = slots[s];
     slot.journal_path = options_.dir + "/shard" + std::to_string(s) + ".mtj";
-    if (options_.columnar_shards) {
+    if (columnar != nullptr) {
       slot.columnar_path = options_.dir + "/shard" + std::to_string(s) + ".mtc";
     }
     slot.assigned.clear();
@@ -434,7 +426,7 @@ SupervisorStats Supervisor::run(Checkpoint& merged, util::ColumnarWriter* column
   // Shard columnar stores merge like the shard journals: by identity,
   // first block per tag wins (a tag re-flushed by a restarted worker or
   // duplicated across an orphan reassignment holds bit-identical rows).
-  if (options_.columnar_shards && columnar != nullptr) {
+  if (columnar != nullptr) {
     std::vector<std::uint64_t> seen_tags;
     for (const Slot& slot : slots) {
       if (slot.columnar_path.empty() || !std::filesystem::exists(slot.columnar_path)) continue;
@@ -467,12 +459,11 @@ ShardedRankResult sharded_rank_vectors(const EvalBackend& backend,
     local.open(options.dir + "/merged.mtj", options.journal);
     merged = &local;
   }
-  const std::string prefix = checkpoint_prefix(
-      "rank", backend.name(), netlist_fingerprint(backend.netlist(), backend.outputs()), wl);
-  const auto key_of = [prefix, &vectors](std::size_t i) {
-    return checkpoint_item_key(prefix, vectors[i]);
+  const auto key_of = [keys = ItemKeys::rank(backend, wl), &vectors](std::size_t i) {
+    return keys.key(vectors[i]);
   };
-  const auto run_one = [&backend, &vectors, wl](std::size_t i, Checkpoint& ckpt) {
+  const auto run_one = [&backend, &vectors, wl](std::size_t i, Checkpoint& ckpt,
+                                                util::ColumnarWriter*) {
     // One item per call, on an inline pool (a forked worker must not
     // spawn sweep threads), scalar path (a 1-item batch gains nothing).
     util::ThreadPool inline_pool(1);

@@ -85,19 +85,6 @@ struct SupervisorOptions {
   double drain_timeout_s = 5.0;     ///< graceful-exit window after SIGTERM
   util::CancelToken* cancel_token = nullptr;  ///< nullptr = global token
   util::JournalOptions journal = {};          ///< worker journal durability
-  /// Each worker also spills result rows into a private columnar store
-  /// shard<k>.mtc next to its journal (append-reopened across restarts,
-  /// so a restart keeps every block an earlier life flushed), and run()
-  /// merges the shard stores into its caller's campaign store exactly
-  /// like the shard journals -- first block per tag wins.  Requires the
-  /// item body to (1) flush at most one block per tag and (2) flush the
-  /// block *before* journaling the item's completion, so a journaled
-  /// item always has its rows on disk and a re-run duplicate is bitwise
-  /// identical.  Off by default.
-  bool columnar_shards = false;
-  /// Block buffer of the workers' shard stores; must be >= the largest
-  /// row count one item emits, to keep blocks 1:1 with tags.
-  std::size_t columnar_rows_per_block = 4096;
 };
 
 struct SupervisorStats {
@@ -115,37 +102,42 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_shards(std::size_t n_items
 
 class Supervisor {
  public:
-  /// `run_one(idx, ckpt)` evaluates item `idx` inside a worker process,
-  /// journaling its outcome into `ckpt` under `key_of(idx)`; it runs on
-  /// a 1-thread pool and must be deterministic.  `key_of` must match
-  /// the keys `run_one` journals (used for replay skips and quarantine
-  /// stamps).
-  using ItemFn = std::function<void(std::size_t idx, Checkpoint& ckpt)>;
-  /// Columnar-aware item body: additionally receives the worker's shard
-  /// store (nullptr when columnar_shards is off) so streamed sweeps can
-  /// spill rows that run() later merges.  The body tags/flushes blocks
-  /// itself -- see SupervisorOptions::columnar_shards for the contract.
-  using SinkItemFn =
+  /// `run_one(idx, ckpt, columnar)` evaluates item `idx` inside a worker
+  /// process, journaling its outcome into `ckpt` under `key_of(idx)`; it
+  /// runs on a 1-thread pool and must be deterministic.  `key_of` must
+  /// match the keys `run_one` journals (used for replay skips and
+  /// quarantine stamps).  `columnar` is the worker's shard store when
+  /// run() has a columnar destination, nullptr otherwise (see run()).
+  using ItemFn =
       std::function<void(std::size_t idx, Checkpoint& ckpt, util::ColumnarWriter* columnar)>;
   using KeyFn = std::function<std::string(std::size_t idx)>;
 
   Supervisor(SupervisorOptions options, std::size_t n_items, ItemFn run_one, KeyFn key_of);
-  Supervisor(SupervisorOptions options, std::size_t n_items, SinkItemFn run_one, KeyFn key_of);
 
   /// Supervise the sharded sweep to completion (or cancellation), then
   /// merge every shard journal into `merged` and stamp quarantined
-  /// items as kPoisonedItem records; with columnar_shards set, also
-  /// merge every shard store into `columnar` (required non-null then,
-  /// open for append).  `merged` must be armed.  Throws
-  /// std::invalid_argument on an unusable configuration (empty dir,
-  /// shards < 1, unarmed checkpoint, missing columnar dest) and
-  /// std::runtime_error on fork/pipe failure.
+  /// items as kPoisonedItem records.  `merged` must be armed.
+  ///
+  /// With a `columnar` destination (open for append), each worker also
+  /// spills result rows into a private store shard<k>.mtc next to its
+  /// journal, with the destination's block size (append-reopened across
+  /// restarts, so a restart keeps every block an earlier life flushed),
+  /// and run() merges the shard stores into `columnar` exactly like the
+  /// shard journals -- first block per tag wins.  That requires the item
+  /// body to (1) flush at most one block per tag and (2) flush the block
+  /// *before* journaling the item's completion, so a journaled item
+  /// always has its rows on disk and a re-run duplicate is bitwise
+  /// identical.
+  ///
+  /// Throws std::invalid_argument on an unusable configuration (empty
+  /// dir, shards < 1, unarmed checkpoint, columnar destination not open)
+  /// and std::runtime_error on fork/pipe failure.
   SupervisorStats run(Checkpoint& merged, util::ColumnarWriter* columnar = nullptr);
 
  private:
   SupervisorOptions options_;
   std::size_t n_items_;
-  SinkItemFn run_one_;
+  ItemFn run_one_;
   KeyFn key_of_;
 };
 

@@ -90,6 +90,7 @@ class ColumnarWriter {
   void open(const std::string& path, ColumnarOptions options = {});
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
+  std::size_t rows_per_block() const { return options_.rows_per_block; }
 
   /// Buffer one row under the current tag.  Flushes automatically when
   /// the buffer reaches rows_per_block, and also when `n` differs from

@@ -20,10 +20,6 @@ double DenseMatrix::at(std::size_t r, std::size_t c) const {
   return data_[r * cols_ + c];
 }
 
-void DenseMatrix::fill(double value) {
-  for (double& v : data_) v = value;
-}
-
 std::vector<double> DenseMatrix::multiply(const std::vector<double>& x) const {
   require(x.size() == cols_, "DenseMatrix::multiply: dimension mismatch");
   std::vector<double> y(rows_, 0.0);

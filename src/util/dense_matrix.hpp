@@ -24,8 +24,6 @@ class DenseMatrix {
   /// data()[r * cols() + c] == at(r, c)
   const std::vector<double>& data() const { return data_; }
 
-  void fill(double value);
-
   /// Solves A x = b in place via LU with partial pivoting.  A copy of the
   /// matrix is factored; *this is not modified.  Throws NumericalError on a
   /// (numerically) singular matrix.

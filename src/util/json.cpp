@@ -291,11 +291,6 @@ std::string JsonValue::string_or(const std::string& key, const std::string& fall
   return v == nullptr ? fallback : v->as_string();
 }
 
-bool JsonValue::bool_or(const std::string& key, bool fallback) const {
-  JsonPtr v = get(key);
-  return v == nullptr ? fallback : v->as_bool();
-}
-
 const std::vector<std::string>& JsonValue::object_keys() const {
   if (kind_ != Kind::kObject) kind_error("object", kind_);
   return keys_;
@@ -341,6 +336,41 @@ std::string json_string(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+std::string dump_json(const JsonPtr& v) {
+  using Kind = JsonValue::Kind;
+  if (v == nullptr) return "null";
+  switch (v->kind()) {
+    case Kind::kNull:
+      return "null";
+    case Kind::kBool:
+      return v->as_bool() ? "true" : "false";
+    case Kind::kNumber:
+      return json_double(v->as_number());
+    case Kind::kString:
+      return json_string(v->as_string());
+    case Kind::kArray: {
+      std::string out = "[";
+      const auto& items = v->as_array();
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i != 0) out += ",";
+        out += dump_json(items[i]);
+      }
+      return out + "]";
+    }
+    case Kind::kObject: {
+      std::string out = "{";
+      bool first = true;
+      for (const std::string& key : v->object_keys()) {
+        if (!first) out += ",";
+        first = false;
+        out += json_string(key) + ":" + dump_json(v->get(key));
+      }
+      return out + "}";
+    }
+  }
+  return "null";
 }
 
 }  // namespace mtcmos::util

@@ -47,7 +47,6 @@ class JsonValue {
   /// Convenience: field value or a default when absent.
   double number_or(const std::string& key, double fallback) const;
   std::string string_or(const std::string& key, const std::string& fallback) const;
-  bool bool_or(const std::string& key, bool fallback) const;
 
   /// Object keys in file order (spec diagnostics / strict-field checks).
   const std::vector<std::string>& object_keys() const;
@@ -76,5 +75,11 @@ std::string json_double(double v);
 
 /// Escape and quote `s` as a JSON string literal.
 std::string json_string(const std::string& s);
+
+/// Compact, deterministic re-serialization of a parsed JSON value:
+/// objects keep insertion order, numbers print via json_double.  The
+/// same parsed value always dumps to the same bytes, which re-parse to
+/// an equal value.
+std::string dump_json(const JsonPtr& v);
 
 }  // namespace mtcmos::util

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -24,11 +25,13 @@
 #include <vector>
 
 #include "circuits/generators.hpp"
+#include "sizing/result_sink.hpp"
 #include "sizing/session.hpp"
 #include "sizing/sizing.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
@@ -39,11 +42,9 @@ using circuits::make_inverter_tree;
 using circuits::make_ripple_adder;
 using sizing::BisectState;
 using sizing::Checkpoint;
-using sizing::checkpoint_item_key;
-using sizing::checkpoint_prefix;
-using sizing::checkpoint_prefix_nowl;
 using sizing::EvalBackend;
 using sizing::EvalSession;
+using sizing::ItemKeys;
 using sizing::netlist_fingerprint;
 using sizing::SpiceBackend;
 using sizing::SpiceBackendOptions;
@@ -142,16 +143,97 @@ TEST_F(CheckpointTest, KeysAreContentDerived) {
   EXPECT_EQ(fp, netlist_fingerprint(adder.netlist, outs));  // stable
   EXPECT_NE(fp, netlist_fingerprint(adder.netlist, {}));    // outputs matter
 
-  const std::string p1 = checkpoint_prefix("rank", "vbs", fp, 10.0);
-  EXPECT_NE(p1, checkpoint_prefix("probe", "vbs", fp, 10.0));
-  EXPECT_NE(p1, checkpoint_prefix("rank", "spice", fp, 10.0));
-  EXPECT_NE(p1, checkpoint_prefix("rank", "vbs", fp, 10.5));
-  EXPECT_NE(p1, checkpoint_prefix_nowl("rank", "vbs", fp));
+  const ItemKeys k1("rank", "vbs", fp, 10.0);
+  const std::string p1 = k1.prefix();
+  EXPECT_NE(p1, ItemKeys("probe", "vbs", fp, 10.0).prefix());
+  EXPECT_NE(p1, ItemKeys("rank", "spice", fp, 10.0).prefix());
+  EXPECT_NE(p1, ItemKeys("rank", "vbs", fp, 10.5).prefix());
+  EXPECT_NE(p1, ItemKeys("rank", "vbs", fp, std::nullopt).prefix());
 
   const VectorPair a{{false, true}, {true, false}};
   const VectorPair b{{false, true}, {true, true}};
-  EXPECT_NE(checkpoint_item_key(p1, a), checkpoint_item_key(p1, b));
-  EXPECT_EQ(checkpoint_item_key(p1, a), checkpoint_item_key(p1, a));
+  EXPECT_NE(k1.key(a), k1.key(b));
+  EXPECT_EQ(k1.key(a), k1.key(a));
+  // Keys nothing consumes are off: no formatting, empty strings.
+  EXPECT_EQ(ItemKeys().key(a), "");
+}
+
+/// Records the key of every emission.  Wanting keys makes the entry
+/// points format them exactly as they journal them.
+class KeyLog final : public sizing::ResultSink {
+ public:
+  bool wants_keys() const override { return true; }
+  void on_delay(const std::string& key, const VectorDelay&) override { keys.push_back(key); }
+  void on_value(const std::string& key, double) override { keys.push_back(key); }
+  std::vector<std::string> keys;
+};
+
+// Journals on disk are addressed by these exact strings: a key scheme
+// change would silently re-run every journaled item on resume.  One key
+// per sweep operation, pinned as literals on a fixed circuit.
+TEST_F(CheckpointTest, GoldenItemKeysArePinned) {
+  const auto adder = make_ripple_adder(tech07(), 2);
+  const auto outs = adder_outputs(adder);
+  char fp[17];
+  std::snprintf(fp, sizeof(fp), "%016llx",
+                static_cast<unsigned long long>(netlist_fingerprint(adder.netlist, outs)));
+  EXPECT_STREQ(fp, "aef938c0190e8782");
+
+  const std::size_t n = adder.netlist.inputs().size();
+  const std::vector<VectorPair> vectors = {
+      {std::vector<bool>(n, false), std::vector<bool>(n, true)},
+      {std::vector<bool>(n, true), std::vector<bool>(n, false)},
+  };
+  const VbsBackend vbs(adder.netlist, outs);
+  Checkpoint ckpt;
+  ckpt.open(path());
+  const auto first_key = [&](const std::function<void(const EvalSession&)>& sweep) {
+    KeyLog log;
+    EvalSession session;
+    session.checkpoint = &ckpt;
+    session.sink = &log;
+    sweep(session);
+    return log.keys;
+  };
+
+  const auto rank = first_key([&](const EvalSession& s) {
+    sizing::rank_vectors(vbs, vectors, 10.0, s);
+  });
+  ASSERT_FALSE(rank.empty());
+  EXPECT_EQ(rank.front(), "rank:vbs:aef938c0190e8782:4024000000000000:0000-1111");
+
+  const auto probe = first_key([&](const EvalSession& s) {
+    sizing::size_for_degradation(vbs, vectors, 5.0, {}, s);
+  });
+  ASSERT_FALSE(probe.empty());
+  EXPECT_EQ(probe.front(), "probe:vbs:aef938c0190e8782:40af400000000000:0000-1111");
+  BisectState state;
+  EXPECT_TRUE(ckpt.lookup_bisect("bisect:vbs:2f1bded43e1ce0fa:", state));
+
+  const auto search = first_key([&](const EvalSession& s) {
+    Rng rng(7);
+    sizing::search_worst_vector(vbs, 10.0, 2, rng, s);
+  });
+  ASSERT_FALSE(search.empty());
+  EXPECT_EQ(search.front(), "search:vbs:aef938c0190e8782:4024000000000000:0011-1111");
+
+  const auto screen = first_key([&](const EvalSession& s) {
+    sizing::screen_vectors(adder.netlist, vectors, 1, s);
+  });
+  ASSERT_FALSE(screen.empty());
+  EXPECT_EQ(screen.front(), "screen:logic:97d442655bea8f75:0000-1111");
+
+  const auto verify = first_key([&](const EvalSession& s) {
+    sizing::verify_sizing(vbs, vbs, {10.0, 1.0, vectors[0]}, 5.0, s);
+  });
+  ASSERT_EQ(verify.size(), 4u);
+  EXPECT_EQ(verify[0], "verify-baseline:vbs:aef938c0190e8782:4024000000000000:0000-1111");
+  EXPECT_EQ(verify[1], "verify-wl:vbs:aef938c0190e8782:4024000000000000:0000-1111");
+
+  for (const std::string& key :
+       {rank.front(), probe.front(), search.front(), screen.front(), verify[0], verify[1]}) {
+    EXPECT_NE(ckpt.journal().find(key), nullptr) << key;
+  }
 }
 
 // --- Typed record round-trips ---
@@ -444,10 +526,11 @@ TEST_F(CheckpointTest, KilledSizingResumesBitIdenticallyOnVbs) {
   const sizing::SizingBounds bounds;
   BisectState state;
   ASSERT_TRUE(resumed.lookup_bisect(
-      checkpoint_prefix_nowl("bisect", vbs.name(),
-                             sizing::sizing_args_hash(fp, vbs.name(), vectors, 5.0,
-                                                      bounds.wl_min, bounds.wl_max,
-                                                      bounds.wl_tol)),
+      ItemKeys("bisect", vbs.name(),
+               sizing::sizing_args_hash(fp, vbs.name(), vectors, 5.0, bounds.wl_min,
+                                        bounds.wl_max, bounds.wl_tol),
+               std::nullopt)
+          .prefix(),
       state));
   EXPECT_EQ(state.phase, 3);
   EXPECT_LE(state.hi - state.lo, bounds.wl_tol);

@@ -27,7 +27,6 @@ using sizing::ColumnarSpillSink;
 using sizing::EvalSession;
 using sizing::MemorySink;
 using sizing::parse_item_key_transition;
-using sizing::TeeSink;
 using sizing::VbsBackend;
 using sizing::VectorDelay;
 using sizing::VectorPair;
@@ -205,21 +204,6 @@ TEST_F(ResultSinkTest, CheckpointReplayFeedsTheSinkTheSameBytes) {
   for (std::size_t i = 0; i < reference.delays.size(); ++i) {
     EXPECT_EQ(resumed.delays[i].key, reference.delays[i].key);
     EXPECT_TRUE(same_delay(resumed.delays[i].row, reference.delays[i].row)) << "row " << i;
-  }
-}
-
-TEST_F(ResultSinkTest, TeeSinkFansOutToBothTargets) {
-  MemorySink a, b;
-  TeeSink tee(a, b);
-  EXPECT_FALSE(tee.wants_keys());  // both memory sinks decline keys
-  EvalSession session;
-  session.sink = &tee;
-  sizing::rank_vectors_stream(*backend_, vectors_, 10.0, session);
-  ASSERT_EQ(a.delays.size(), b.delays.size());
-  ASSERT_EQ(a.delays.size(), vectors_.size());
-  for (std::size_t i = 0; i < a.delays.size(); ++i) {
-    EXPECT_EQ(a.delays[i].key, b.delays[i].key);
-    EXPECT_TRUE(same_delay(a.delays[i].row, b.delays[i].row));
   }
 }
 
