@@ -1,13 +1,20 @@
 #include "sizing/checkpoint.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <initializer_list>
 #include <sstream>
+#include <system_error>
+#include <type_traits>
 
 #include "netlist/io.hpp"
 #include "sizing/result_sink.hpp"
 #include "util/error.hpp"
+#include "util/faultinject.hpp"
 
 namespace mtcmos::sizing {
 
@@ -18,6 +25,12 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 std::uint64_t fnv1a_double(double v, std::uint64_t seed) {
   const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
   return fnv1a(&bits, sizeof(bits), seed);
+}
+
+char* put_hex64(char* out, std::uint64_t v) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) *out++ = kHex[(v >> shift) & 0xFu];
+  return out;
 }
 
 std::string double_bits(double v) { return hex64(std::bit_cast<std::uint64_t>(v)); }
@@ -40,12 +53,12 @@ void append_transition(std::string& out, const VectorPair& vp) {
   append_bits(out, vp.v1);
 }
 
-[[noreturn]] void throw_corrupt(const std::string& key) {
+[[noreturn]] void throw_corrupt(std::string_view key) {
   // A CRC-valid record that fails typed decoding means the journal was
   // produced by an incompatible writer, not torn by a crash: refuse to
   // resume rather than silently recompute half the run.
   throw NumericalError({FailureCode::kInvalidArgument, "sizing::Checkpoint",
-                        "undecodable checkpoint record for key '" + key +
+                        "undecodable checkpoint record for key '" + std::string(key) +
                             "' (journal written by an incompatible run?)"});
 }
 
@@ -83,6 +96,87 @@ bool decode_failure(const std::string& value, Outcome<T>& out) {
   return true;
 }
 
+/// A success record: "ok <attempts>" then one 16-hex-digit double bit
+/// pattern per field, space-separated.
+constexpr std::size_t kMaxOkValue = 3 + 11 + 3 * 17;
+
+std::string_view encode_ok(char (&buf)[kMaxOkValue], int attempts,
+                           std::initializer_list<double> fields) {
+  char* p = buf;
+  *p++ = 'o';
+  *p++ = 'k';
+  *p++ = ' ';
+  p = std::to_chars(p, buf + kMaxOkValue, attempts).ptr;
+  for (const double f : fields) {
+    *p++ = ' ';
+    p = put_hex64(p, std::bit_cast<std::uint64_t>(f));
+  }
+  return {buf, static_cast<std::size_t>(p - buf)};
+}
+
+/// Parse a success record into `attempts` and `N` doubles.  Like the
+/// scanf format it replaces, anything after the last field is ignored.
+template <std::size_t N>
+bool decode_ok(std::string_view value, int& attempts, std::array<double, N>& fields) {
+  if (!value.starts_with("ok ")) return false;
+  const char* p = value.data() + 3;
+  const char* const end = value.data() + value.size();
+  auto [next, ec] = std::from_chars(p, end, attempts);
+  if (ec != std::errc()) return false;
+  for (double& f : fields) {
+    if (next == end || *next != ' ') return false;
+    std::uint64_t bits = 0;
+    const auto parsed = std::from_chars(next + 1, end, bits, 16);
+    if (parsed.ec != std::errc()) return false;
+    f = std::bit_cast<double>(bits);
+    next = parsed.ptr;
+  }
+  return true;
+}
+
+template <typename T>
+bool decode(std::string_view key, std::string_view value, Outcome<T>& out) {
+  int attempts = 0;
+  if constexpr (std::is_same_v<T, double>) {
+    std::array<double, 1> f;
+    if (decode_ok(value, attempts, f)) {
+      out = Outcome<double>::success(f[0], attempts);
+      return true;
+    }
+  } else {
+    std::array<double, 3> f;
+    if (decode_ok(value, attempts, f)) {
+      VectorDelay vd;  // pair is re-attached by the sweep (it is in the key)
+      vd.delay_cmos = f[0];
+      vd.delay_mtcmos = f[1];
+      vd.degradation_pct = f[2];
+      out = Outcome<VectorDelay>::success(std::move(vd), attempts);
+      return true;
+    }
+  }
+  if (decode_failure(std::string(value), out)) return true;
+  throw_corrupt(key);
+}
+
+template <typename T>
+void stage_outcome(util::JournalBatch& batch, std::string_view key, const Outcome<T>& outcome,
+                   std::int64_t scope) {
+  if (outcome.ok()) {
+    char buf[kMaxOkValue];
+    if constexpr (std::is_same_v<T, double>) {
+      batch.add(key, encode_ok(buf, outcome.attempts, {*outcome.value}), scope);
+    } else {
+      const VectorDelay& vd = *outcome.value;
+      batch.add(key,
+                encode_ok(buf, outcome.attempts,
+                          {vd.delay_cmos, vd.delay_mtcmos, vd.degradation_pct}),
+                scope);
+    }
+  } else if (Checkpoint::should_persist(outcome.failure)) {
+    batch.add(key, encode_failure(outcome), scope);
+  }
+}
+
 }  // namespace
 
 void Checkpoint::open(const std::string& path, util::JournalOptions options) {
@@ -92,12 +186,12 @@ void Checkpoint::open(const std::string& path, util::JournalOptions options) {
 void Checkpoint::bind_meta(const std::string& name, const std::string& value) {
   if (!armed()) return;
   const std::string key = "meta:" + name;
-  if (const std::string* existing = journal_.find(key)) {
+  if (const util::JournalValue existing = journal_.find(key)) {
     if (*existing != value) {
       throw NumericalError(
           {FailureCode::kInvalidArgument, "sizing::Checkpoint",
            "journal '" + journal_.path() + "' was written by a different run: meta '" + name +
-               "' is '" + *existing + "' there but '" + value +
+               "' is '" + std::string(*existing) + "' there but '" + value +
                "' now (use a fresh checkpoint directory or rerun with the original settings)"});
     }
     return;
@@ -105,75 +199,55 @@ void Checkpoint::bind_meta(const std::string& name, const std::string& value) {
   journal_.append(key, value);
 }
 
-bool Checkpoint::lookup(const std::string& key, Outcome<double>& out) const {
+bool Checkpoint::lookup(std::string_view key, Outcome<double>& out) const {
   if (!armed()) return false;
-  const std::string* value = journal_.find(key);
-  if (value == nullptr) return false;
-  int attempts = 0;
-  double v = 0.0;
-  {
-    char bits[32];
-    if (std::sscanf(value->c_str(), "ok %d %31s", &attempts, bits) == 2 &&
-        parse_double_bits(bits, v)) {
-      out = Outcome<double>::success(v, attempts);
-      return true;
-    }
-  }
-  if (decode_failure(*value, out)) return true;
-  throw_corrupt(key);
+  const util::JournalValue value = journal_.find(key);
+  return value && decode(key, *value, out);
 }
 
-bool Checkpoint::lookup(const std::string& key, Outcome<VectorDelay>& out) const {
+bool Checkpoint::lookup(std::string_view key, Outcome<VectorDelay>& out) const {
   if (!armed()) return false;
-  const std::string* value = journal_.find(key);
-  if (value == nullptr) return false;
-  int attempts = 0;
-  char b0[32], b1[32], b2[32];
-  if (std::sscanf(value->c_str(), "ok %d %31s %31s %31s", &attempts, b0, b1, b2) == 4) {
-    VectorDelay vd;  // pair is re-attached by the sweep (it is in the key)
-    if (parse_double_bits(b0, vd.delay_cmos) && parse_double_bits(b1, vd.delay_mtcmos) &&
-        parse_double_bits(b2, vd.degradation_pct)) {
-      out = Outcome<VectorDelay>::success(std::move(vd), attempts);
-      return true;
-    }
-  }
-  if (decode_failure(*value, out)) return true;
-  throw_corrupt(key);
+  const util::JournalValue value = journal_.find(key);
+  return value && decode(key, *value, out);
 }
 
-void Checkpoint::record(const std::string& key, const Outcome<double>& outcome) {
+void Checkpoint::stage(util::JournalBatch& batch, std::string_view key,
+                       const Outcome<double>& outcome, std::int64_t scope) {
+  stage_outcome(batch, key, outcome, scope);
+}
+
+void Checkpoint::stage(util::JournalBatch& batch, std::string_view key,
+                       const Outcome<VectorDelay>& outcome, std::int64_t scope) {
+  stage_outcome(batch, key, outcome, scope);
+}
+
+void Checkpoint::append(const util::JournalBatch& batch) { journal_.append_batch(batch); }
+
+void Checkpoint::record(std::string_view key, const Outcome<double>& outcome) {
   if (!armed()) return;
-  if (outcome.ok()) {
-    journal_.append(key,
-                    "ok " + std::to_string(outcome.attempts) + " " + double_bits(*outcome.value));
-  } else if (should_persist(outcome.failure)) {
-    journal_.append(key, encode_failure(outcome));
-  }
+  util::JournalBatch batch;
+  stage(batch, key, outcome, faultinject::current_scope());
+  append(batch);
 }
 
-void Checkpoint::record(const std::string& key, const Outcome<VectorDelay>& outcome) {
+void Checkpoint::record(std::string_view key, const Outcome<VectorDelay>& outcome) {
   if (!armed()) return;
-  if (outcome.ok()) {
-    const VectorDelay& vd = *outcome.value;
-    journal_.append(key, "ok " + std::to_string(outcome.attempts) + " " +
-                             double_bits(vd.delay_cmos) + " " + double_bits(vd.delay_mtcmos) +
-                             " " + double_bits(vd.degradation_pct));
-  } else if (should_persist(outcome.failure)) {
-    journal_.append(key, encode_failure(outcome));
-  }
+  util::JournalBatch batch;
+  stage(batch, key, outcome, faultinject::current_scope());
+  append(batch);
 }
 
-void Checkpoint::record_failure(const std::string& key, const FailureInfo& info) {
+void Checkpoint::record_failure(std::string_view key, const FailureInfo& info) {
   record(key, Outcome<double>::fail(info));
 }
 
 bool Checkpoint::lookup_bisect(const std::string& key, BisectState& out) const {
   if (!armed()) return false;
-  const std::string* value = journal_.find(key);
-  if (value == nullptr) return false;
+  const util::JournalValue value = journal_.find(key);
+  if (!value) return false;
   char lo[32], hi[32], deg[32];
   BisectState s;
-  if (std::sscanf(value->c_str(), "bs %d %31s %31s %31s %zu %zu", &s.phase, lo, hi, deg,
+  if (std::sscanf(std::string(*value).c_str(), "bs %d %31s %31s %31s %zu %zu", &s.phase, lo, hi, deg,
                   &s.hi_idx, &s.probes) != 6 ||
       !parse_double_bits(lo, s.lo) || !parse_double_bits(hi, s.hi) ||
       !parse_double_bits(deg, s.hi_deg)) {
@@ -210,9 +284,8 @@ std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
 }
 
 std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
+  char buf[16];
+  return {buf, put_hex64(buf, v)};
 }
 
 std::string bits_string(const std::vector<bool>& bits) {
@@ -249,10 +322,18 @@ ItemKeys::ItemKeys(bool on, const char* op, const EvalBackend& backend,
 }
 
 std::string ItemKeys::key(const VectorPair& vp) const {
-  if (!on()) return {};
-  std::string key = prefix_;
-  append_transition(key, vp);
+  std::string key(size(vp), '\0');
+  write(vp, key.data());
   return key;
+}
+
+char* ItemKeys::write(const VectorPair& vp, char* out) const {
+  if (!on()) return out;
+  out = std::copy(prefix_.begin(), prefix_.end(), out);
+  for (const bool b : vp.v0) *out++ = b ? '1' : '0';
+  *out++ = '-';
+  for (const bool b : vp.v1) *out++ = b ? '1' : '0';
+  return out;
 }
 
 std::uint64_t sizing_args_hash(std::uint64_t fingerprint, const char* backend_name,

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -71,17 +72,27 @@ class Checkpoint {
   /// Typed item records.  lookup returns false when the key is absent
   /// (or the checkpoint is unarmed); record silently skips outcomes that
   /// describe the interruption rather than the item (see header).
-  bool lookup(const std::string& key, Outcome<double>& out) const;
-  bool lookup(const std::string& key, Outcome<VectorDelay>& out) const;
-  void record(const std::string& key, const Outcome<double>& outcome);
-  void record(const std::string& key, const Outcome<VectorDelay>& outcome);
+  bool lookup(std::string_view key, Outcome<double>& out) const;
+  bool lookup(std::string_view key, Outcome<VectorDelay>& out) const;
+  void record(std::string_view key, const Outcome<double>& outcome);
+  void record(std::string_view key, const Outcome<VectorDelay>& outcome);
+
+  /// record() in two halves, so a sweep can format a chunk of records off
+  /// the journal's lock and write them with one append: stage() adds
+  /// `outcome`'s record to `batch` under fault-injection scope `scope`
+  /// (skipping what record() skips), append() writes the batch.
+  static void stage(util::JournalBatch& batch, std::string_view key,
+                    const Outcome<double>& outcome, std::int64_t scope);
+  static void stage(util::JournalBatch& batch, std::string_view key,
+                    const Outcome<VectorDelay>& outcome, std::int64_t scope);
+  void append(const util::JournalBatch& batch);
 
   /// Journal a bare failure under `key` without an Outcome type: the
   /// encoded form is shared by both lookup() overloads, so any sweep
   /// replays it as that item's failure.  The supervisor uses this to
   /// stamp quarantined (kPoisonedItem) items into the merged journal.
   /// Honors should_persist like record().
-  void record_failure(const std::string& key, const FailureInfo& info);
+  void record_failure(std::string_view key, const FailureInfo& info);
 
   bool lookup_bisect(const std::string& key, BisectState& out) const;
   void record_bisect(const std::string& key, const BisectState& state);
@@ -140,6 +151,12 @@ class ItemKeys {
   /// Everything before the transition bits ("" when off).
   const std::string& prefix() const { return prefix_; }
   std::string key(const VectorPair& vp) const;
+  /// key(vp)'s length, and key(vp) written to `out` (that many bytes)
+  /// returning its end: how a sweep formats many keys into one buffer.
+  std::size_t size(const VectorPair& vp) const {
+    return on() ? prefix_.size() + vp.v0.size() + 1 + vp.v1.size() : 0;
+  }
+  char* write(const VectorPair& vp, char* out) const;
 
  private:
   std::string prefix_;

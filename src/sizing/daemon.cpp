@@ -232,7 +232,9 @@ class DaemonImpl {
     // life, so a deterministic kill test's *restarted* daemon (same
     // inherited plan table) does not die again at the same site.
     int prior_boots = 0;
-    if (const std::string* b = requests_.find("boot")) prior_boots = std::atoi(b->c_str());
+    if (const util::JournalValue b = requests_.find("boot")) {
+      prior_boots = std::atoi(std::string(*b).c_str());
+    }
     faultinject::set_generation(prior_boots);
     requests_.append("boot", std::to_string(prior_boots + 1));
 
@@ -449,8 +451,8 @@ class DaemonImpl {
     const std::string base_key = req.key();
     p.key = base_key;
     for (int alt = 1;; ++alt) {
-      const std::string* existing = requests_.find("req:" + p.key);
-      if (existing == nullptr || *existing == p.canonical) break;
+      const util::JournalValue existing = requests_.find("req:" + p.key);
+      if (!existing || *existing == p.canonical) break;
       p.key = base_key + "-" + std::to_string(alt);
     }
     p.req = std::move(req);

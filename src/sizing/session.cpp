@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <iterator>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <ranges>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -142,20 +144,16 @@ struct RunCtx {
 // (std::invalid_argument and friends) propagate -- they indicate caller
 // bugs, not numerical bad luck.
 //
-// Ordering per attempt: checkpoint replay (a journaled outcome skips the
-// work entirely), then cancellation (kCancelled, never journaled), then
+// Ordering per attempt: cancellation (kCancelled, never journaled), then
 // the session deadline (kDeadlineExceeded), then the body.  With the
 // watchdog armed, a completed attempt slower than the running-median
 // budget is discarded as kDeadlineExceeded and the item requeued exactly
-// once; a second over-budget attempt fails the item.  Completed outcomes
-// (successes and persistable failures) are journaled before being
-// returned, so a crash can lose at most the items still in flight.
+// once; a second over-budget attempt fails the item.  Checkpoint replay
+// and recording wrap this: Sweep replays journaled items before
+// evaluating and journals each chunk after it, run_keyed does both for
+// a single item.
 template <typename T, typename Fn>
-Outcome<T> run_item(RunCtx& ctx, std::size_t index, const std::string& key, Fn&& body) {
-  if (ctx.checkpoint != nullptr) {
-    Outcome<T> cached;
-    if (ctx.checkpoint->lookup(key, cached)) return cached;
-  }
+Outcome<T> run_item(RunCtx& ctx, std::size_t index, Fn&& body) {
   const faultinject::ScopedScope scope(static_cast<std::int64_t>(index));
   int budget = std::max(1, ctx.session.policy.max_attempts);
   bool requeued = false;
@@ -207,18 +205,28 @@ Outcome<T> run_item(RunCtx& ctx, std::size_t index, const std::string& key, Fn&&
       last.attempts = attempt;
       continue;
     }
-    Outcome<T> out = Outcome<T>::success(std::move(*value), attempt);
-    // Outside the catch deliberately: a journal append failure is a crash
-    // of the checkpoint machinery, not numerical bad luck on this item --
-    // it must tear down the sweep (like running out of disk would), not
-    // burn the item's retry budget.
-    if (ctx.checkpoint != nullptr) ctx.checkpoint->record(key, out);
-    return out;
+    return Outcome<T>::success(std::move(*value), attempt);
   }
-  Outcome<T> out = Outcome<T>::fail(last);
-  // record() filters interruption artifacts itself; terminal numerical
-  // failures replay on resume exactly like successes.
-  if (ctx.checkpoint != nullptr) ctx.checkpoint->record(key, out);
+  return Outcome<T>::fail(last);
+}
+
+// One keyed item outside a Sweep (the search refinement, verification):
+// replay its journaled outcome, or run it and journal what it produced
+// (Checkpoint::stage filters interruption artifacts) under its scope.
+// The append is outside run_item's catch deliberately: a journal append
+// failure is a crash of the checkpoint machinery, not numerical bad luck
+// on this item -- it must tear down the sweep (like running out of disk
+// would), not burn the item's retry budget.
+template <typename T, typename Fn>
+Outcome<T> run_keyed(RunCtx& ctx, std::size_t index, const std::string& key, Fn&& body) {
+  Outcome<T> out;
+  if (ctx.checkpoint != nullptr && ctx.checkpoint->lookup(key, out)) return out;
+  out = run_item<T>(ctx, index, body);
+  if (ctx.checkpoint != nullptr) {
+    util::JournalBatch batch;
+    Checkpoint::stage(batch, key, out, static_cast<std::int64_t>(index));
+    ctx.checkpoint->append(batch);
+  }
   return out;
 }
 
@@ -247,9 +255,8 @@ std::size_t batch_chunk(const EvalSession& session, const EvalBackend& backend) 
 // place of the scalar backend call; shared by rank_vectors, every
 // size_for_degradation probe phase and search_worst_vector's sample pass.
 //
-// Construction batches the items (of `subset`, when given) whose key is
-// not already journaled as a record of type T -- so checkpoint keys and
-// records are untouched by batching, and a resumed run batches only the
+// Construction batches the items of `subset` (nullptr = every item):
+// what Sweep::replay left to compute, so a resumed run batches only the
 // remaining items.  Baselines go first (after a bisection's first probe
 // they are all backend-memo hits), then the sized delay only where the
 // baseline toggled the outputs, mirroring row()'s early
@@ -262,27 +269,21 @@ std::size_t batch_chunk(const EvalSession& session, const EvalBackend& backend) 
 // reproduces the same deterministic outcome -- so attempt counts, failure
 // records and checkpoint contents match the scalar path exactly.  Workers
 // touch disjoint indices only.
-template <typename T>
 class DelayMemo {
  public:
   DelayMemo(const RunCtx& ctx, const EvalBackend& backend, const std::vector<VectorPair>& vectors,
-            double wl, const ItemKeys& keys, const std::vector<std::size_t>* subset = nullptr,
-            bool with_baseline = true)
-      : backend_(backend), vectors_(vectors), wl_(wl) {
-    const std::size_t chunk = batch_chunk(ctx.session, backend);
-    if (chunk == 0 || ctx.cancel.requested()) return;
-    const std::size_t n = subset != nullptr ? subset->size() : vectors.size();
+            double wl, const std::vector<std::size_t>* subset, bool with_baseline = true)
+      : backend_(backend), vectors_(vectors), wl_(wl), chunk_(batch_chunk(ctx.session, backend)) {
+    if (chunk_ == 0 || ctx.cancel.requested()) return;
     std::vector<std::size_t> todo;
-    todo.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = subset != nullptr ? (*subset)[k] : k;
-      Outcome<T> cached;
-      if (ctx.checkpoint == nullptr || !ctx.checkpoint->lookup(keys.key(vectors[i]), cached)) {
-        todo.push_back(i);
-      }
+    if (subset != nullptr) {
+      todo = *subset;
+    } else {
+      todo.resize(vectors.size());
+      std::iota(todo.begin(), todo.end(), std::size_t{0});
     }
     if (with_baseline) {
-      precompute(ctx, todo, chunk, base_,
+      precompute(ctx, todo, base_,
                  [&](const VectorPair* const* vps, std::size_t m, Outcome<double>* out) {
                    backend.delay_baseline_batch(vps, m, out);
                  });
@@ -290,11 +291,15 @@ class DelayMemo {
         return !base_[i] || !base_[i]->ok() || !(*base_[i]->value > 0.0);
       });
     }
-    precompute(ctx, todo, chunk, sized_,
+    precompute(ctx, todo, sized_,
                [&](const VectorPair* const* vps, std::size_t m, Outcome<double>* out) {
                  backend.delay_at_wl_batch(vps, m, wl, out);
                });
   }
+
+  /// Items per Sweep::evaluate task: the batch chunk, whose items are
+  /// memo reads, or 1 when every item is a full backend call.
+  std::size_t grain() const { return std::max<std::size_t>(1, chunk_); }
 
   double at_wl(std::size_t i) {
     return take(sized_, i, [&] { return backend_.delay_at_wl(vectors_[i], wl_); });
@@ -315,18 +320,18 @@ class DelayMemo {
   using Slots = std::vector<std::optional<Outcome<double>>>;
 
   // Fan one batched evaluation over the pool: the items in `idx` run in
-  // `chunk`-sized groups, one backend batch call each.  Chunks not yet
+  // chunk_-sized groups, one backend batch call each.  Chunks not yet
   // started when the session is cancelled or the deadline expires are
   // skipped; run_item classifies those items normally when it reaches
   // them.
   template <typename BatchFn>
-  void precompute(const RunCtx& ctx, const std::vector<std::size_t>& idx, std::size_t chunk,
-                  Slots& slots, const BatchFn& call) {
+  void precompute(const RunCtx& ctx, const std::vector<std::size_t>& idx, Slots& slots,
+                  const BatchFn& call) {
     slots.resize(vectors_.size());
-    ctx.pool.parallel_for((idx.size() + chunk - 1) / chunk, [&](std::size_t c) {
+    ctx.pool.parallel_for((idx.size() + chunk_ - 1) / chunk_, [&](std::size_t c) {
       if (ctx.cancel.requested() || ctx.deadline.expired()) return;
-      const std::size_t begin = c * chunk;
-      const std::size_t end = std::min(begin + chunk, idx.size());
+      const std::size_t begin = c * chunk_;
+      const std::size_t end = std::min(begin + chunk_, idx.size());
       std::vector<const VectorPair*> vps(end - begin);
       for (std::size_t k = begin; k < end; ++k) vps[k - begin] = &vectors_[idx[k]];
       std::vector<Outcome<double>> out(end - begin);
@@ -347,6 +352,7 @@ class DelayMemo {
   const EvalBackend& backend_;
   const std::vector<VectorPair>& vectors_;
   double wl_;
+  std::size_t chunk_;
   Slots base_, sized_;
 };
 
@@ -355,40 +361,80 @@ void emit(ResultSink& sink, const std::string& key, const VectorDelay& row) {
   sink.on_delay(key, row);
 }
 
-// The evaluate-and-reduce step every sweep runs over its items.
-// evaluate() fills index-addressed Outcome slots through run_item on the
-// pool; reduce() then walks the items serially in input order, admitting
-// each outcome, emitting each success into the session sink under its
-// item key, and handing it to `take`.  The report, the emission stream and
-// whatever `take` builds are therefore identical for any thread count,
-// and a failed item only removes itself.  Both take an optional ascending
-// `subset` of indices (nullptr = every item).
+// The replay-evaluate-reduce step every sweep runs over its items, each
+// taking an optional ascending `subset` of indices (nullptr = every
+// item).  replay() puts journaled outcomes into the index-addressed
+// Outcome slots and returns the items left to compute; evaluate() fills
+// those through run_item on the pool, journaling each chunk with one
+// append; reduce() then walks the items serially in input order,
+// admitting each outcome, emitting each success into the session sink
+// under its item key, and handing it to `take`.  The report, the emission
+// stream and whatever `take` builds are therefore identical for any
+// thread count, and a failed item only removes itself.
 template <typename T>
 class Sweep {
  public:
   Sweep(RunCtx& ctx, const ItemKeys& keys, const std::vector<VectorPair>& vectors)
       : slots(vectors.size()), ctx_(ctx), keys_(keys), vectors_(vectors) {}
 
-  /// `body(i)` computes item i; `grain` items go to each pool task.
-  /// Plain parallel_for: run_item already absorbs NumericalErrors, so the
-  /// only exceptions that reach the pool are precondition bugs (and
-  /// journal write failures), which should cancel and propagate.
-  template <typename Body>
-  void evaluate(const std::vector<std::size_t>* subset, const Body& body,
-                std::size_t grain = 1) {
-    const std::size_t n = subset != nullptr ? subset->size() : vectors_.size();
-    ctx_.pool.parallel_for((n + grain - 1) / grain, [&](std::size_t c) {
-      for (std::size_t k = c * grain; k < std::min(n, (c + 1) * grain); ++k) {
-        const std::size_t i = subset != nullptr ? (*subset)[k] : k;
-        const std::string key =
-            ctx_.checkpoint != nullptr ? keys_.key(vectors_[i]) : std::string();
-        slots[i] = run_item<T>(ctx_, i, key, [&] { return body(i); });
-        // The transition lives in the key, not the record; re-attach it
-        // for computed and replayed rows alike.
-        if constexpr (std::is_same_v<T, VectorDelay>) {
-          if (slots[i].ok()) slots[i].value->pair = vectors_[i];
+  /// With a checkpoint armed, formats each item's key once and looks it
+  /// up once, in parallel: a journaled outcome goes straight into its
+  /// slot, and the ascending items still to compute are returned.  The
+  /// keys are kept for evaluate()'s records and reduce()'s sink.  Without
+  /// a checkpoint this returns `subset` and allocates nothing.
+  const std::vector<std::size_t>* replay(const std::vector<std::size_t>* subset) {
+    if (ctx_.checkpoint == nullptr) return subset;
+    const std::size_t n = count(subset);
+    if (key_at_.empty()) key_at_.resize(vectors_.size());
+    std::size_t bytes = key_bytes_.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = item(subset, k);
+      key_at_[i] = bytes;
+      bytes += keys_.size(vectors_[i]);
+    }
+    key_bytes_.resize(bytes);
+    std::vector<char> hit(n, 0);
+    ctx_.pool.parallel_for((n + kDefaultBatch - 1) / kDefaultBatch, [&](std::size_t c) {
+      for (std::size_t k = c * kDefaultBatch; k < std::min(n, (c + 1) * kDefaultBatch); ++k) {
+        const std::size_t i = item(subset, k);
+        keys_.write(vectors_[i], key_bytes_.data() + key_at_[i]);
+        if (ctx_.checkpoint->lookup(item_key(i), slots[i])) {
+          hit[k] = 1;
+          attach_pair(i);
         }
       }
+    });
+    misses_.clear();
+    for (std::size_t k = 0; k < n; ++k) {
+      if (hit[k] == 0) misses_.push_back(item(subset, k));
+    }
+    return &misses_;
+  }
+
+  /// `body(i)` computes item i of `todo` (what replay() returned);
+  /// `grain` items go to each pool task, whose outcomes are then
+  /// journaled with one append (each record under its item's scope), so
+  /// a crash can lose at most the chunks still in flight.  Plain
+  /// parallel_for: run_item already absorbs NumericalErrors, so the only
+  /// exceptions that reach the pool are precondition bugs and journal
+  /// write failures, which should cancel and propagate.
+  template <typename Body>
+  void evaluate(const std::vector<std::size_t>* todo, const Body& body, std::size_t grain) {
+    const std::size_t n = count(todo);
+    ctx_.pool.parallel_for((n + grain - 1) / grain, [&](std::size_t c) {
+      const std::size_t begin = c * grain, end = std::min(n, begin + grain);
+      for (std::size_t k = begin; k < end; ++k) {
+        const std::size_t i = item(todo, k);
+        slots[i] = run_item<T>(ctx_, i, [&] { return body(i); });
+        attach_pair(i);
+      }
+      if (ctx_.checkpoint == nullptr) return;
+      util::JournalBatch batch;
+      for (std::size_t k = begin; k < end; ++k) {
+        const std::size_t i = item(todo, k);
+        Checkpoint::stage(batch, item_key(i), slots[i], static_cast<std::int64_t>(i));
+      }
+      ctx_.checkpoint->append(batch);
     });
   }
 
@@ -397,11 +443,14 @@ class Sweep {
   template <typename Take>
   void reduce(const std::vector<std::size_t>* subset, const Take& take, bool flush = true) {
     ResultSink* const sink = ctx_.session.sink;
-    const std::size_t n = subset != nullptr ? subset->size() : vectors_.size();
+    const std::size_t n = count(subset);
     for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = subset != nullptr ? (*subset)[k] : k;
+      const std::size_t i = item(subset, k);
       if (!ctx_.admit(i, slots[i])) continue;
-      if (sink != nullptr) emit(*sink, keys_.key(vectors_[i]), *slots[i].value);
+      if (sink != nullptr) {
+        emit(*sink, key_at_.empty() ? keys_.key(vectors_[i]) : std::string(item_key(i)),
+             *slots[i].value);
+      }
       take(i, *slots[i].value);
     }
     if (flush && sink != nullptr) sink->flush();
@@ -410,9 +459,29 @@ class Sweep {
   std::vector<Outcome<T>> slots;
 
  private:
+  std::size_t count(const std::vector<std::size_t>* subset) const {
+    return subset != nullptr ? subset->size() : vectors_.size();
+  }
+  static std::size_t item(const std::vector<std::size_t>* subset, std::size_t k) {
+    return subset != nullptr ? (*subset)[k] : k;
+  }
+  std::string_view item_key(std::size_t i) const {
+    return {key_bytes_.data() + key_at_[i], keys_.size(vectors_[i])};
+  }
+  // The transition lives in the key, not the record; re-attach it for
+  // computed and replayed rows alike.
+  void attach_pair(std::size_t i) {
+    if constexpr (std::is_same_v<T, VectorDelay>) {
+      if (slots[i].ok()) slots[i].value->pair = vectors_[i];
+    }
+  }
+
   RunCtx& ctx_;
   const ItemKeys& keys_;
   const std::vector<VectorPair>& vectors_;
+  std::string key_bytes_;             ///< the keys replay() formatted, back to back
+  std::vector<std::size_t> key_at_;   ///< where item i's key starts in key_bytes_
+  std::vector<std::size_t> misses_;   ///< replay()'s result
 };
 
 // The `k` worst entries of one fully evaluated probe, by degradation
@@ -445,9 +514,10 @@ void rank_into(const EvalBackend& backend, const std::vector<VectorPair>& vector
   RunCtx ctx(session);
   const ItemKeys keys(ctx.keyed, "rank", backend, wl);
   if (!ctx.cancel.requested()) backend.prepare_wl(wl);
-  DelayMemo<VectorDelay> memo(ctx, backend, vectors, wl, keys);
   Sweep<VectorDelay> sweep(ctx, keys, vectors);
-  sweep.evaluate(nullptr, [&](std::size_t i) { return memo.row(i); });
+  const std::vector<std::size_t>* todo = sweep.replay(nullptr);
+  DelayMemo memo(ctx, backend, vectors, wl, todo);
+  sweep.evaluate(todo, [&](std::size_t i) { return memo.row(i); }, memo.grain());
   sweep.reduce(nullptr, take);
 }
 
@@ -547,11 +617,15 @@ SizingResult size_for_degradation(const EvalBackend& backend,
     Sweep<double> probe(ctx, keys, vectors);
     const std::vector<Outcome<double>>& deg = probe.slots;
     const auto measure = [&](const std::vector<std::size_t>* subset) {
-      DelayMemo<double> memo(ctx, backend, vectors, wl, keys, subset);
-      probe.evaluate(subset, [&](std::size_t i) {
-        const VectorDelay vd = memo.row(i);
-        return vd.delay_mtcmos > 0.0 ? vd.degradation_pct : -1.0;  // -1: no toggle
-      });
+      const std::vector<std::size_t>* todo = probe.replay(subset);
+      DelayMemo memo(ctx, backend, vectors, wl, todo);
+      probe.evaluate(
+          todo,
+          [&](std::size_t i) {
+            const VectorDelay vd = memo.row(i);
+            return vd.delay_mtcmos > 0.0 ? vd.degradation_pct : -1.0;  // -1: no toggle
+          },
+          memo.grain());
     };
     std::vector<std::size_t> first;  // phase 1, ascending
     bool decided = false;
@@ -668,9 +742,10 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
   // reduction, which skips failed samples, keeps the winner identical for
   // any thread count.  The sink flushes once, after the refinement.
   const std::vector<VectorPair> sampled = sampled_vector_pairs(n, samples, rng);
-  DelayMemo<double> memo(ctx, backend, sampled, wl, keys, nullptr, /*with_baseline=*/false);
   Sweep<double> scores(ctx, keys, sampled);
-  scores.evaluate(nullptr, [&](std::size_t i) { return memo.at_wl(i); });
+  const std::vector<std::size_t>* todo = scores.replay(nullptr);
+  DelayMemo memo(ctx, backend, sampled, wl, todo, /*with_baseline=*/false);
+  scores.evaluate(todo, [&](std::size_t i) { return memo.at_wl(i); }, memo.grain());
   VectorPair best;
   double best_score = -1.0;
   scores.reduce(
@@ -705,7 +780,7 @@ VectorDelay search_worst_vector(const EvalBackend& backend, double wl, int sampl
         vec[static_cast<std::size_t>(bit)] = !vec[static_cast<std::size_t>(bit)];
         const std::string key = keys.key(cand);
         const Outcome<double> s =
-            run_item<double>(ctx, cand_index, key, [&] { return backend.delay_at_wl(cand, wl); });
+            run_keyed<double>(ctx, cand_index, key, [&] { return backend.delay_at_wl(cand, wl); });
         if (!ctx.admit(cand_index++, s)) continue;
         if (sink != nullptr) sink->on_value(key, *s.value);
         if (*s.value > best_score) {
@@ -744,7 +819,8 @@ std::vector<VectorPair> screen_vectors(const netlist::Netlist& nl,
   // the ranking is identical for any thread count or chunk size.
   Sweep<double> weights(ctx, keys, candidates);
   weights.evaluate(
-      nullptr, [&](std::size_t i) { return falling_discharge_weight(nl, candidates[i]); },
+      weights.replay(nullptr),
+      [&](std::size_t i) { return falling_discharge_weight(nl, candidates[i]); },
       std::max<std::size_t>(1, session.batch == 0 ? kDefaultBatch : session.batch));
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
@@ -789,7 +865,7 @@ VerifyResult verify_sizing(const EvalBackend& fast, const EvalBackend& reference
     const std::string key =
         ItemKeys(ctx.keyed, p.baseline ? "verify-baseline" : "verify-wl", *p.backend, result.wl)
             .key(vp);
-    const Outcome<double> o = run_item<double>(ctx, i, key, [&] {
+    const Outcome<double> o = run_keyed<double>(ctx, i, key, [&] {
       return p.baseline ? p.backend->delay_baseline(vp)
                         : p.backend->delay_at_wl(vp, result.wl);
     });

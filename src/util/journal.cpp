@@ -4,10 +4,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
+#include <cstdint>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "util/faultinject.hpp"
@@ -59,65 +64,247 @@ void fsync_parent_dir(const std::string& path) {
   ::close(dfd);
 }
 
-/// Parse one record at `data + pos`.  Returns false (leaving key/value
-/// untouched) on a torn or corrupt record -- the replay loop treats that
-/// position as the end of valid history.
-bool parse_record(const std::string& data, std::size_t& pos, std::string& key,
-                  std::string& value) {
-  const std::size_t header_end = data.find('\n', pos);
-  if (header_end == std::string::npos) return false;
-  const std::string header = data.substr(pos, header_end - pos);
-  std::uint32_t crc = 0;
-  std::size_t key_len = 0, value_len = 0;
-  {
-    unsigned long long c = 0, k = 0, v = 0;
-    if (std::sscanf(header.c_str(), "J1 %llx %llu %llu", &c, &k, &v) != 3) return false;
-    crc = static_cast<std::uint32_t>(c);
-    key_len = static_cast<std::size_t>(k);
-    value_len = static_cast<std::size_t>(v);
+constexpr std::size_t kReplayBuffer = std::size_t{1} << 20;
+constexpr std::size_t kArenaBlock = std::size_t{1} << 20;
+// An arena entry: key size and value size as native u32, then the key
+// and value bytes.
+constexpr std::size_t kEntryHeader = 2 * sizeof(std::uint32_t);
+
+std::string_view entry_key(const char* entry) {
+  std::uint32_t key_size;
+  std::memcpy(&key_size, entry, sizeof(key_size));
+  return {entry + kEntryHeader, key_size};
+}
+
+std::string_view entry_value(const char* entry) {
+  std::uint32_t key_size, value_size;
+  std::memcpy(&key_size, entry, sizeof(key_size));
+  std::memcpy(&value_size, entry + sizeof(key_size), sizeof(value_size));
+  return {entry + kEntryHeader + key_size, value_size};
+}
+
+// Slicing-by-8 tables: kCrcTables[0] is the byte-wise table, and
+// kCrcTables[k][b] advances kCrcTables[k-1][b] by one more zero byte.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
-  const std::size_t payload_begin = header_end + 1;
-  const std::size_t payload_end = payload_begin + key_len + value_len;
-  if (payload_end + 1 > data.size()) return false;  // torn payload
-  if (data[payload_end] != '\n') return false;
-  if (key_len == 0) return false;
-  const std::uint32_t actual = crc32(data.data() + payload_begin, key_len + value_len);
-  if (actual != crc) return false;
-  key.assign(data, payload_begin, key_len);
-  value.assign(data, payload_begin + key_len, value_len);
-  pos = payload_end + 1;
-  return true;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+  }
+  return t;
+}();
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+char* append_decimal(char* out, std::size_t v) {
+  char digits[20];
+  int n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  while (n > 0) *out++ = digits[--n];
+  return out;
+}
+
+/// "J1 %08x %zu %zu\n" into `out` (at least kMaxHeader bytes); returns
+/// the end.
+constexpr std::size_t kMaxHeader = 3 + 8 + 1 + 20 + 1 + 20 + 1;
+char* format_header(char* out, std::uint32_t crc, std::size_t key_size, std::size_t value_size) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out++ = 'J';
+  *out++ = '1';
+  *out++ = ' ';
+  for (int shift = 28; shift >= 0; shift -= 4) *out++ = kHex[(crc >> shift) & 0xFu];
+  *out++ = ' ';
+  out = append_decimal(out, key_size);
+  *out++ = ' ';
+  out = append_decimal(out, value_size);
+  *out++ = '\n';
+  return out;
+}
+
+std::uint32_t record_crc(std::string_view key, std::string_view value) {
+  return crc32(value.data(), value.size(), crc32(key.data(), key.size()));
+}
+
+/// Append one formatted record (header, key, value, newline) to `out`.
+void append_record(std::string& out, std::string_view key, std::string_view value) {
+  char header[kMaxHeader];
+  const char* const header_end = format_header(header, record_crc(key, value), key.size(),
+                                               value.size());
+  out.append(header, static_cast<std::size_t>(header_end - header));
+  out += key;
+  out += value;
+  out += '\n';
+}
+
+/// Parse one header field: an unsigned number in `base` followed by
+/// `stop`.  Returns the position after `stop`, or nullptr.
+const char* parse_field(const char* p, const char* end, int base, char stop,
+                        std::uint64_t& out) {
+  const auto [next, ec] = std::from_chars(p, end, out, base);
+  if (ec != std::errc() || next == p || next == end || *next != stop) return nullptr;
+  return next + 1;
+}
+
+enum class Parse { kRecord, kNeedMore, kCorrupt };
+
+/// Parse one record at the start of [data, data + size).  kNeedMore asks
+/// for at least `need` bytes (the record may continue past the buffer);
+/// kCorrupt marks a torn or corrupt record, where valid history ends.
+Parse parse_record(const char* data, std::size_t size, std::size_t& need, std::string_view& key,
+                   std::string_view& value) {
+  const char* const end = data + size;
+  const char* p = data;
+  // Header "J1 <crc-hex> <key-bytes> <value-bytes>\n".
+  const std::size_t header_max = std::min(size, kMaxHeader);
+  if (std::memchr(data, '\n', header_max) == nullptr) {
+    if (size >= kMaxHeader) return Parse::kCorrupt;
+    need = kMaxHeader;
+    return Parse::kNeedMore;
+  }
+  if (size < 3 || p[0] != 'J' || p[1] != '1' || p[2] != ' ') return Parse::kCorrupt;
+  std::uint64_t crc = 0, key_size = 0, value_size = 0;
+  p = parse_field(p + 3, end, 16, ' ', crc);
+  if (p != nullptr) p = parse_field(p, end, 10, ' ', key_size);
+  if (p != nullptr) p = parse_field(p, end, 10, '\n', value_size);
+  if (p == nullptr || crc > UINT32_MAX || key_size == 0 || key_size > UINT32_MAX ||
+      value_size > UINT32_MAX) {
+    return Parse::kCorrupt;
+  }
+  const std::size_t header = static_cast<std::size_t>(p - data);
+  const std::size_t total = header + key_size + value_size + 1;
+  if (total > size) {
+    need = total;
+    return Parse::kNeedMore;
+  }
+  if (data[total - 1] != '\n') return Parse::kCorrupt;
+  key = {p, static_cast<std::size_t>(key_size)};
+  value = {p + key_size, static_cast<std::size_t>(value_size)};
+  if (record_crc(key, value) != crc) return Parse::kCorrupt;
+  need = total;
+  return Parse::kRecord;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  // Standard reflected CRC-32 (IEEE 802.3), table built on first use.
-  static const std::uint32_t* table = [] {
-    static std::uint32_t t[256];
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
   std::uint32_t crc = ~seed;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return ~crc;
 }
 
-std::string format_journal_record(const std::string& key, const std::string& value) {
-  const std::uint32_t crc = crc32((key + value).data(), key.size() + value.size());
-  char header[64];
-  std::snprintf(header, sizeof(header), "J1 %08x %zu %zu\n", crc, key.size(), value.size());
-  std::string record = header;
-  record += key;
-  record += value;
-  record += '\n';
+std::string format_journal_record(std::string_view key, std::string_view value) {
+  std::string record;
+  append_record(record, key, value);
   return record;
 }
+
+// --- KeyIndex ---
+
+std::uint64_t KeyIndex::default_digest(std::string_view key) {
+  return std::hash<std::string_view>{}(key);
+}
+
+const char* KeyIndex::store(std::string_view key, std::string_view value) {
+  const std::size_t need = kEntryHeader + key.size() + value.size();
+  if (need > left_) {
+    const std::size_t block = std::max(need, kArenaBlock);
+    blocks_.push_back(std::make_unique<char[]>(block));
+    cursor_ = blocks_.back().get();
+    left_ = block;
+  }
+  char* const entry = cursor_;
+  const auto key_size = static_cast<std::uint32_t>(key.size());
+  const auto value_size = static_cast<std::uint32_t>(value.size());
+  std::memcpy(entry, &key_size, sizeof(key_size));
+  std::memcpy(entry + sizeof(key_size), &value_size, sizeof(value_size));
+  std::memcpy(entry + kEntryHeader, key.data(), key.size());
+  std::memcpy(entry + kEntryHeader + key.size(), value.data(), value.size());
+  cursor_ += need;
+  left_ -= need;
+  return entry;
+}
+
+std::size_t KeyIndex::probe(std::uint64_t digest, std::string_view key) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t s = digest & mask;; s = (s + 1) & mask) {
+    const Slot& slot = slots_[s];
+    if (slot.entry == nullptr ||
+        (slot.digest == digest && entry_key(slot.entry) == key)) {
+      return s;
+    }
+  }
+}
+
+void KeyIndex::grow() {
+  std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.entry == nullptr) continue;
+    std::size_t s = slot.digest & mask;
+    while (slots_[s].entry != nullptr) s = (s + 1) & mask;
+    slots_[s] = slot;
+  }
+}
+
+void KeyIndex::put(std::string_view key, std::string_view value) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::uint64_t digest = digest_(key);
+  Slot& slot = slots_[probe(digest, key)];
+  if (slot.entry == nullptr) ++size_;
+  slot = {digest, store(key, value)};
+}
+
+JournalValue KeyIndex::get(std::string_view key) const {
+  if (slots_.empty()) return {};
+  const Slot& slot = slots_[probe(digest_(key), key)];
+  return slot.entry == nullptr ? JournalValue() : JournalValue(entry_value(slot.entry));
+}
+
+void KeyIndex::for_each(const std::function<void(std::string_view, std::string_view)>& fn) const {
+  for (const Slot& slot : slots_) {
+    if (slot.entry != nullptr) fn(entry_key(slot.entry), entry_value(slot.entry));
+  }
+}
+
+void KeyIndex::clear() {
+  slots_.clear();
+  size_ = 0;
+  blocks_.clear();
+  cursor_ = nullptr;
+  left_ = 0;
+}
+
+// --- JournalBatch ---
+
+void JournalBatch::add(std::string_view key, std::string_view value, std::int64_t scope) {
+  if (key.empty()) throw std::invalid_argument("journal: key must not be empty");
+  if (key.size() > UINT32_MAX || value.size() > UINT32_MAX) {
+    throw std::invalid_argument("journal: record larger than 4 GiB");
+  }
+  append_record(bytes_, key, value);
+  records_.push_back({bytes_.size(), key.size(), value.size(), scope});
+}
+
+// --- Journal ---
 
 Journal::~Journal() {
   try {
@@ -131,7 +318,7 @@ void Journal::open(const std::string& path, JournalOptions options) {
   close();
   path_ = path;
   options_ = options;
-  latest_.clear();
+  index_.clear();
   replayed_records_ = 0;
   truncated_bytes_ = 0;
   appended_since_sync_ = 0;
@@ -145,106 +332,150 @@ void Journal::open(const std::string& path, JournalOptions options) {
   if (fd_ < 0) throw_errno("cannot open", path);
   if (!existed) fsync_parent_dir(path_);
 
-  // Replay: slurp the file, parse records until the first torn one.
-  std::string data;
-  {
-    char buf[1 << 16];
-    while (true) {
-      const ssize_t n = ::read(fd_, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("read failed", path);
-      }
-      if (n == 0) break;
-      data.append(buf, static_cast<std::size_t>(n));
+  // Replay: stream the file through a fixed buffer (grown only for a
+  // record larger than it), parsing records until the first torn one.
+  std::vector<char> buf(kReplayBuffer);
+  std::size_t begin = 0, end = 0;  // unparsed bytes in buf
+  std::size_t valid = 0;           // file offset just past the last good record
+  bool eof = false;
+  while (true) {
+    std::size_t need = 1;
+    std::string_view key, value;
+    Parse parsed = Parse::kNeedMore;
+    if (begin < end) parsed = parse_record(buf.data() + begin, end - begin, need, key, value);
+    if (parsed == Parse::kRecord) {
+      index_.put(key, value);
+      ++replayed_records_;
+      begin += need;
+      valid += need;
+      continue;
     }
+    if (parsed == Parse::kCorrupt || eof) break;
+    // Move the partial record to the front, make room for it, read more.
+    std::memmove(buf.data(), buf.data() + begin, end - begin);
+    end -= begin;
+    begin = 0;
+    if (need > buf.size()) buf.resize(need);
+    const ssize_t n = ::read(fd_, buf.data() + end, buf.size() - end);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("read failed", path);
+    }
+    if (n == 0) eof = true;
+    end += static_cast<std::size_t>(n);
   }
-  std::size_t pos = 0;
-  std::string key, value;
-  while (pos < data.size() && parse_record(data, pos, key, value)) {
-    latest_[key] = value;
-    ++replayed_records_;
-  }
-  if (pos < data.size()) {
+  const off_t size = ::lseek(fd_, 0, SEEK_END);
+  if (size < 0) throw_errno("seek failed", path);
+  if (static_cast<std::size_t>(size) > valid) {
     // Torn tail from a crash mid-append: drop it so the file is a clean
     // record sequence again before anything is appended after it.
-    truncated_bytes_ = data.size() - pos;
-    if (::ftruncate(fd_, static_cast<off_t>(pos)) != 0) throw_errno("truncate failed", path);
-  }
-  if (::lseek(fd_, 0, SEEK_END) < 0) throw_errno("seek failed", path);
-}
-
-void Journal::write_record(const std::string& key, const std::string& value) {
-  const std::string record = format_journal_record(key, value);
-  write_all(fd_, record.data(), record.size(), path_);
-  ++appended_since_sync_;
-  // fsync narrows kernel-crash exposure only (the write() above already
-  // survives process death), so it is rate-limited: the count trigger is
-  // opt-in, the time trigger caps both exposure and overhead.
-  bool sync = options_.fsync_every > 0 && appended_since_sync_ >= options_.fsync_every;
-  if (!sync && options_.fsync_interval_s > 0.0) {
-    const auto now = std::chrono::steady_clock::now();
-    sync = std::chrono::duration<double>(now - last_sync_).count() >= options_.fsync_interval_s;
-  }
-  if (sync) {
-    fsync_retry(fd_, path_);
-    appended_since_sync_ = 0;
-    last_sync_ = std::chrono::steady_clock::now();
+    truncated_bytes_ = static_cast<std::size_t>(size) - valid;
+    if (::ftruncate(fd_, static_cast<off_t>(valid)) != 0) throw_errno("truncate failed", path);
+    if (::lseek(fd_, 0, SEEK_END) < 0) throw_errno("seek failed", path);
   }
 }
 
-void Journal::append(const std::string& key, const std::string& value) {
-  if (key.empty()) throw std::invalid_argument("journal: key must not be empty");
-  const std::lock_guard<std::mutex> lock(mutex_);
+void Journal::sync_locked() {
+  fsync_retry(fd_, path_);
+  appended_since_sync_ = 0;
+  last_sync_ = std::chrono::steady_clock::now();
+}
+
+void Journal::append(std::string_view key, std::string_view value) {
+  JournalBatch batch;
+  batch.add(key, value, faultinject::current_scope());
+  append_batch(batch);
+}
+
+void Journal::append_batch(const JournalBatch& batch) {
+  if (batch.empty()) return;
+  const std::unique_lock lock(mutex_);
   if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
-  faultinject::check(faultinject::Site::kJournalAppend, "util::Journal::append");
-  write_record(key, value);
-  latest_[key] = value;
+  // Fault checks first, each under its record's scope: a fault keeps the
+  // records before it and drops it and every record after it.
+  std::size_t count = 0;
+  std::exception_ptr fault;
+  for (; count < batch.records_.size(); ++count) {
+    const faultinject::ScopedScope scope(batch.records_[count].scope);
+    try {
+      faultinject::check(faultinject::Site::kJournalAppend, "util::Journal::append");
+    } catch (...) {
+      fault = std::current_exception();
+      break;
+    }
+  }
+  if (count > 0) {
+    write_all(fd_, batch.bytes_.data(), batch.records_[count - 1].end, path_);
+    for (std::size_t r = 0; r < count; ++r) {
+      const JournalBatch::Record& rec = batch.records_[r];
+      const char* const payload = batch.bytes_.data() + rec.end - 1 - rec.value_size - rec.key_size;
+      index_.put({payload, rec.key_size}, {payload + rec.key_size, rec.value_size});
+    }
+    appended_since_sync_ += count;
+    // fsync narrows kernel-crash exposure only (the write() above already
+    // survives process death), so it is rate-limited: the count trigger
+    // is opt-in, the time trigger caps both exposure and overhead.
+    bool sync = options_.fsync_every > 0 && appended_since_sync_ >= options_.fsync_every;
+    if (!sync && options_.fsync_interval_s > 0.0) {
+      sync = std::chrono::duration<double>(std::chrono::steady_clock::now() - last_sync_)
+                 .count() >= options_.fsync_interval_s;
+    }
+    if (sync) sync_locked();
+  }
+  if (fault) std::rethrow_exception(fault);
 }
 
 void Journal::flush() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::unique_lock lock(mutex_);
   if (fd_ < 0 || appended_since_sync_ == 0) return;
-  fsync_retry(fd_, path_);
-  appended_since_sync_ = 0;
+  sync_locked();
 }
 
 void Journal::close() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::unique_lock lock(mutex_);
   if (fd_ < 0) return;
-  if (appended_since_sync_ > 0) fsync_retry(fd_, path_);
+  if (appended_since_sync_ > 0) sync_locked();
   ::close(fd_);
   fd_ = -1;
 }
 
-const std::string* Journal::find(const std::string& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = latest_.find(key);
-  return it == latest_.end() ? nullptr : &it->second;
+JournalValue Journal::find(std::string_view key) const {
+  const std::shared_lock lock(mutex_);
+  return index_.get(key);
 }
 
 std::size_t Journal::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return latest_.size();
+  const std::shared_lock lock(mutex_);
+  return index_.size();
 }
 
 void Journal::for_each(
     const std::function<void(const std::string&, const std::string&)>& fn) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, value] : latest_) fn(key, value);
+  const std::shared_lock lock(mutex_);
+  std::string key, value;
+  index_.for_each([&](std::string_view k, std::string_view v) {
+    key.assign(k);
+    value.assign(v);
+    fn(key, value);
+  });
 }
 
 void Journal::compact() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::unique_lock lock(mutex_);
   if (fd_ < 0) throw std::runtime_error("journal: compact on a closed journal");
   const std::string tmp_path = path_ + ".compact.tmp";
   const int tmp_fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (tmp_fd < 0) throw_errno("cannot open", tmp_path);
   try {
-    for (const auto& [key, value] : latest_) {
-      const std::string record = format_journal_record(key, value);
-      write_all(tmp_fd, record.data(), record.size(), tmp_path);
-    }
+    std::string chunk;
+    index_.for_each([&](std::string_view key, std::string_view value) {
+      append_record(chunk, key, value);
+      if (chunk.size() >= kReplayBuffer) {
+        write_all(tmp_fd, chunk.data(), chunk.size(), tmp_path);
+        chunk.clear();
+      }
+    });
+    write_all(tmp_fd, chunk.data(), chunk.size(), tmp_path);
     fsync_retry(tmp_fd, tmp_path);
   } catch (...) {
     ::close(tmp_fd);
@@ -259,12 +490,14 @@ void Journal::compact() {
     throw_errno("rename failed", tmp_path);
   }
   fsync_parent_dir(path_);
-  // Swap the fd to the new file and position at its end.
+  // Swap the fd to the new file and position at its end.  The index and
+  // its arena stay as they are, so views handed out earlier stay valid.
   ::close(fd_);
   fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
   if (fd_ < 0) throw_errno("cannot reopen", path_);
   if (::lseek(fd_, 0, SEEK_END) < 0) throw_errno("seek failed", path_);
   appended_since_sync_ = 0;
+  last_sync_ = std::chrono::steady_clock::now();
 }
 
 std::size_t merge_journal_file(Journal& dest, const std::string& source_path,
@@ -288,8 +521,8 @@ std::size_t merge_journal_file(Journal& dest, const std::string& source_path,
   std::sort(records.begin(), records.end());
   std::size_t appended = 0;
   for (const auto& [key, value] : records) {
-    const std::string* existing = dest.find(key);
-    if (existing != nullptr && *existing == value) continue;
+    const JournalValue existing = dest.find(key);
+    if (existing && *existing == value) continue;
     dest.append(key, value);
     ++appended;
   }

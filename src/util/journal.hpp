@@ -2,16 +2,18 @@
 // Append-only, checksummed, crash-safe record log.
 //
 // A Journal persists (key, value) string records for runs that must
-// survive process death: every append is a single write() of one fully
-// formatted record, so a crash can only ever produce a *truncated tail*,
-// never an interleaved or half-updated interior.  On open the file is
-// replayed record by record; the first malformed or checksum-failing
-// record marks the torn tail, which is truncated away so the file is
-// again a clean sequence of records before any new append.  Later
-// records for the same key win (append-only update semantics); compact()
-// rewrites the latest record per key into a temporary file and renames
-// it over the journal atomically, so even a crash mid-compaction leaves
-// either the old or the new file, both valid.
+// survive process death.  Appends arrive in batches (JournalBatch): the
+// caller formats a batch's records off the lock, and append_batch()
+// writes them with a single write() of whole, fully formatted records, so
+// a crash can only ever produce a *truncated tail*, never an interleaved
+// or half-updated interior.  On open the file is replayed record by
+// record; the first malformed or checksum-failing record marks the torn
+// tail, which is truncated away so the file is again a clean sequence of
+// records before any new append.  Later records for the same key win
+// (append-only update semantics); compact() rewrites the latest record
+// per key into a temporary file and renames it over the journal
+// atomically, so even a crash mid-compaction leaves either the old or the
+// new file, both valid.
 //
 // Record format (text, greppable):
 //
@@ -21,32 +23,43 @@
 // values are arbitrary bytes except that keys must not be empty;
 // embedded newlines are fine because the header carries exact lengths.
 //
+// In memory, the latest value per key lives in a KeyIndex: the key and
+// value bytes of every record in an append-only arena, found through a
+// table of 64-bit key digests.  find() returns a view into that arena,
+// which no later append moves or rewrites.
+//
 // Durability: appends are written to the fd immediately (they survive
 // process death -- SIGKILL, OOM kill, abort -- without any flush).
 // fsync only narrows the *kernel*-crash / power-loss window, so it is
 // batched by time, not by record count: at most one fsync per
 // JournalOptions::fsync_interval_s (plus on flush()/close), bounding
 // both the exposure window and the overhead on sweeps whose items are
-// cheaper than an fsync.  fsync_every adds a count-based trigger on top
-// for callers that want per-record durability (fsync_every = 1).
+// cheaper than an fsync.  fsync_every adds a count-based trigger on top,
+// checked after each batch; fsync_every = 1 with one record per batch
+// gives per-record durability.
 //
-// Thread safety: append()/flush()/compact() are mutex-serialized and
-// safe to call from pool workers -- a compaction racing concurrent
-// appends lands every record in either the old or the new file, never
-// torn across both (the daemon compacts its request journal while the
-// executor appends).  open/replay are owner-thread operations.
+// Thread safety: append()/append_batch()/flush()/compact() are
+// serialized and safe to call from pool workers -- a compaction racing
+// concurrent appends lands every record in either the old or the new
+// file, never torn across both (the daemon compacts its request journal
+// while the executor appends).  find()/size()/for_each() take a shared
+// lock, so lookups from many workers proceed in parallel.  open/replay
+// are owner-thread operations.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
+#include <shared_mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace mtcmos::util {
 
+/// Standard reflected CRC-32 (IEEE 802.3), chained from `seed`:
+/// crc32(b, crc32(a)) == crc32(a + b).
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
 struct JournalOptions {
@@ -55,6 +68,87 @@ struct JournalOptions {
   /// recent work (process death alone loses nothing).
   double fsync_interval_s = 0.5;
   std::size_t fsync_every = 0;  ///< also fsync every N records; 0 = timer only
+};
+
+/// A journaled value, or null when the key is absent.  It views bytes in
+/// the journal's append-only arena, which later appends never move or
+/// rewrite, so it stays valid and unchanged until the journal is reopened
+/// or destroyed.
+class JournalValue {
+ public:
+  JournalValue() = default;
+  explicit JournalValue(std::string_view value) : value_(value), found_(true) {}
+
+  explicit operator bool() const { return found_; }
+  friend bool operator==(const JournalValue& v, std::nullptr_t) { return !v.found_; }
+  const std::string_view& operator*() const { return value_; }
+  const std::string_view* operator->() const { return &value_; }
+
+ private:
+  std::string_view value_;
+  bool found_ = false;
+};
+
+/// The latest value per key: every put() copies the key and value bytes
+/// into an append-only arena of fixed blocks, and an open-addressing
+/// table maps a 64-bit digest of each key to its latest entry.  A lookup
+/// is a hit only once the full key bytes match, so keys whose digests
+/// collide stay distinct.  Superseded values stay in the arena until
+/// clear().  Not synchronized (Journal guards it with its lock).
+class KeyIndex {
+ public:
+  using Digest = std::uint64_t (*)(std::string_view key);
+  static std::uint64_t default_digest(std::string_view key);
+
+  /// `digest` is replaceable so tests can force collisions.
+  explicit KeyIndex(Digest digest = default_digest) : digest_(digest) {}
+
+  void put(std::string_view key, std::string_view value);
+  JournalValue get(std::string_view key) const;
+  std::size_t size() const { return size_; }
+  /// Visit the latest value per key (unspecified order).
+  void for_each(const std::function<void(std::string_view, std::string_view)>& fn) const;
+  void clear();
+
+ private:
+  struct Slot {
+    std::uint64_t digest = 0;
+    const char* entry = nullptr;  ///< arena entry; nullptr = empty slot
+  };
+
+  const char* store(std::string_view key, std::string_view value);
+  std::size_t probe(std::uint64_t digest, std::string_view key) const;
+  void grow();
+
+  Digest digest_;
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  std::size_t size_ = 0;
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  char* cursor_ = nullptr;
+  std::size_t left_ = 0;
+};
+
+/// Records formatted off the journal's lock for one append_batch():
+/// value bytes, J1 header and CRC, each record byte-identical to
+/// format_journal_record.  Each record carries the fault-injection scope
+/// its append is checked under.
+class JournalBatch {
+ public:
+  /// Format one record.  Throws std::invalid_argument on an empty key.
+  void add(std::string_view key, std::string_view value, std::int64_t scope);
+  bool empty() const { return records_.empty(); }
+  std::size_t size() const { return records_.size(); }
+
+ private:
+  friend class Journal;
+  struct Record {
+    std::size_t end;  ///< one past the record's trailing newline in bytes_
+    std::size_t key_size;
+    std::size_t value_size;
+    std::int64_t scope;
+  };
+  std::string bytes_;
+  std::vector<Record> records_;
 };
 
 class Journal {
@@ -73,9 +167,15 @@ class Journal {
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
-  /// Append one record.  One write() per record; fsync per the options.
-  /// Throws std::runtime_error if the write fails (disk full).
-  void append(const std::string& key, const std::string& value);
+  /// Append one record: a batch of one under the current fault-injection
+  /// scope.  Throws std::runtime_error if the write fails (disk full).
+  void append(std::string_view key, std::string_view value);
+
+  /// Append a batch with one write() and one index update under the
+  /// lock; fsync per the options.  The kJournalAppend fault site fires
+  /// once per record, under that record's scope; a fault there writes
+  /// only the records before it, then throws.
+  void append_batch(const JournalBatch& batch);
 
   /// fsync the fd (no-op when nothing was appended since the last sync).
   void flush();
@@ -83,8 +183,8 @@ class Journal {
   /// Close the fd (flushing first).  Replayed state stays queryable.
   void close();
 
-  /// Latest value for `key`, or nullptr (replayed + appended records).
-  const std::string* find(const std::string& key) const;
+  /// Latest value for `key`, or null (replayed + appended records).
+  JournalValue find(std::string_view key) const;
   std::size_t size() const;  ///< distinct keys
   /// Records replayed from disk at open() (resume diagnostics).
   std::size_t replayed_records() const { return replayed_records_; }
@@ -99,13 +199,13 @@ class Journal {
   void compact();
 
  private:
-  void write_record(const std::string& key, const std::string& value);
+  void sync_locked();
 
   std::string path_;
   JournalOptions options_;
   int fd_ = -1;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::string> latest_;
+  mutable std::shared_mutex mutex_;
+  KeyIndex index_;
   std::size_t appended_since_sync_ = 0;
   std::chrono::steady_clock::time_point last_sync_ = {};
   std::size_t replayed_records_ = 0;
@@ -114,7 +214,7 @@ class Journal {
 
 /// One formatted record (append() writes exactly this).  Exposed so tests
 /// can compute offsets when simulating torn tails.
-std::string format_journal_record(const std::string& key, const std::string& value);
+std::string format_journal_record(std::string_view key, std::string_view value);
 
 /// Merge every record of the journal file at `source_path` into `dest`
 /// (latest value per key; keys whose latest value already matches in

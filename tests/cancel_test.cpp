@@ -221,7 +221,7 @@ TEST_F(Cancel, SigtermDuringCompactLeavesAValidJournal) {
   replay.open(jpath);
   EXPECT_EQ(replay.size(), 50u);
   for (int k = 0; k < 50; ++k) {
-    const std::string* value = replay.find("key" + std::to_string(k));
+    const auto value = replay.find("key" + std::to_string(k));
     ASSERT_NE(value, nullptr) << "key" << k;
     EXPECT_EQ(*value, "v" + std::to_string(150 + k)) << "latest update must survive compaction";
   }

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -623,6 +624,105 @@ TEST_F(CheckpointTest, KilledRankResumesBitIdenticallyOnSpice) {
     EXPECT_EQ(merged[i].delay_mtcmos, reference[i].delay_mtcmos) << i;
     EXPECT_EQ(merged[i].degradation_pct, reference[i].degradation_pct) << i;
   }
+}
+
+// --- Journals written before the digest-indexed journal ---
+
+/// VbsBackend that counts every delay it is asked for, scalar or batched.
+class CountingVbs : public VbsBackend {
+ public:
+  using VbsBackend::VbsBackend;
+  double delay_baseline(const VectorPair& vp) const override {
+    ++delays;
+    return VbsBackend::delay_baseline(vp);
+  }
+  double delay_at_wl(const VectorPair& vp, double wl) const override {
+    ++delays;
+    return VbsBackend::delay_at_wl(vp, wl);
+  }
+  void delay_at_wl_batch(const VectorPair* const* vps, std::size_t n, double wl,
+                         Outcome<double>* out) const override {
+    delays += static_cast<int>(n);
+    VbsBackend::delay_at_wl_batch(vps, n, wl, out);
+  }
+  void delay_baseline_batch(const VectorPair* const* vps, std::size_t n,
+                            Outcome<double>* out) const override {
+    delays += static_cast<int>(n);
+    VbsBackend::delay_baseline_batch(vps, n, out);
+  }
+
+  mutable std::atomic<int> delays{0};
+};
+
+TEST_F(CheckpointTest, OlderJournalReplaysBitIdentically) {
+  // tests/data/adder3_rank_size.mtj was written by the journal as of
+  // commit 933da0a (one write() per record, an unordered_map index):
+  // rank_vectors at W/L 10, then size_for_degradation to 5 %, over every
+  // 83rd adder3 transition.  It must replay in full under the digest
+  // index, with no simulation, to the answer of a fresh run.
+  const auto adder = make_ripple_adder(tech07(), 3);
+  const auto outs = adder_outputs(adder);
+  const auto all = sizing::all_vector_pairs(6);
+  std::vector<VectorPair> vectors;
+  for (std::size_t i = 0; i < all.size(); i += 83) vectors.push_back(all[i]);
+
+  const VbsBackend fresh_vbs(adder.netlist, outs);
+  const std::string fresh_path = path("fresh.mtj");
+  std::vector<VectorDelay> ranked;
+  sizing::SizingResult sized;
+  {
+    Checkpoint fresh;
+    fresh.open(fresh_path);
+    EvalSession session;
+    session.checkpoint = &fresh;
+    ranked = sizing::rank_vectors(fresh_vbs, vectors, 10.0, session);
+    sized = sizing::size_for_degradation(fresh_vbs, vectors, 5.0, {}, session);
+  }
+
+  const std::string old_path = path("older.mtj");
+  std::filesystem::copy_file(std::string(MTCMOS_TEST_DATA_DIR) + "/adder3_rank_size.mtj",
+                             old_path);
+  // Same records, same bytes: the fresh journal holds what the older
+  // writer wrote (record order follows thread scheduling).
+  EXPECT_EQ(std::filesystem::file_size(fresh_path), std::filesystem::file_size(old_path));
+  std::map<std::string, std::string> fresh_records, old_records;
+  {
+    util::Journal j;
+    j.open(fresh_path);
+    j.for_each([&](const std::string& k, const std::string& v) { fresh_records[k] = v; });
+    j.open(old_path);
+    EXPECT_EQ(j.replayed_records(), 678u);
+    EXPECT_EQ(j.truncated_bytes(), 0u);
+    j.for_each([&](const std::string& k, const std::string& v) { old_records[k] = v; });
+  }
+  EXPECT_EQ(old_records.size(), 666u);
+  EXPECT_TRUE(fresh_records == old_records);
+
+  const CountingVbs vbs(adder.netlist, outs);
+  Checkpoint older;
+  older.open(old_path);
+  SweepReport report;
+  EvalSession session;
+  session.checkpoint = &older;
+  session.report = &report;
+  const auto replayed_rank = sizing::rank_vectors(vbs, vectors, 10.0, session);
+  const auto replayed_size = sizing::size_for_degradation(vbs, vectors, 5.0, {}, session);
+  EXPECT_EQ(vbs.delays.load(), 0);
+  EXPECT_EQ(report.failed, 0u);
+  ASSERT_EQ(replayed_rank.size(), ranked.size());
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    EXPECT_TRUE(same_pair(replayed_rank[i].pair, ranked[i].pair)) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed_rank[i].delay_cmos),
+              std::bit_cast<std::uint64_t>(ranked[i].delay_cmos)) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed_rank[i].delay_mtcmos),
+              std::bit_cast<std::uint64_t>(ranked[i].delay_mtcmos)) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed_rank[i].degradation_pct),
+              std::bit_cast<std::uint64_t>(ranked[i].degradation_pct)) << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed_size.wl), std::bit_cast<std::uint64_t>(sized.wl));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed_size.degradation_pct),
+            std::bit_cast<std::uint64_t>(sized.degradation_pct));
+  EXPECT_TRUE(same_pair(replayed_size.binding_vector, sized.binding_vector));
 }
 
 // --- Cancellation ---

@@ -645,10 +645,10 @@ TEST_F(DaemonTest, HashCollisionFallsBackToSuffixedJournalKey) {
 
   util::Journal j;
   j.open(state("a") + "/requests.mtj");
-  const std::string* seeded = j.find(std::string("req:") + key);
+  const auto seeded = j.find(std::string("req:") + key);
   ASSERT_NE(seeded, nullptr);
   EXPECT_EQ(*seeded, other);  // the colliding request did not clobber it
-  const std::string* ours = j.find(std::string("req:") + key + "-1");
+  const auto ours = j.find(std::string("req:") + key + "-1");
   ASSERT_NE(ours, nullptr);
   EXPECT_EQ(*ours, canonical);
   EXPECT_NE(j.find(std::string("done:") + key + "-1"), nullptr);

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -286,7 +289,7 @@ TEST_F(JournalTest, CompactRacingConcurrentAppendsLosesNothing) {
   EXPECT_EQ(r.replayed_records(), r.size());
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      const std::string* v = r.find("t" + std::to_string(t) + ":" + std::to_string(i));
+      const auto v = r.find("t" + std::to_string(t) + ":" + std::to_string(i));
       ASSERT_NE(v, nullptr) << "t" << t << ":" << i;
       EXPECT_EQ(*v, std::to_string(i));
     }
@@ -320,8 +323,12 @@ TEST_F(JournalTest, ForEachVisitsLatestPerKey) {
   std::size_t visited = 0;
   j.for_each([&](const std::string& key, const std::string& value) {
     ++visited;
-    if (key == "x") EXPECT_EQ(value, "new");
-    if (key == "y") EXPECT_EQ(value, "only");
+    if (key == "x") {
+      EXPECT_EQ(value, "new");
+    }
+    if (key == "y") {
+      EXPECT_EQ(value, "only");
+    }
   });
   EXPECT_EQ(visited, 2u);
 }
@@ -423,6 +430,103 @@ TEST_F(JournalTest, MergeJournalFileMissingSourceThrows) {
   dest.open(path("dest.mtj"));
   EXPECT_THROW(mtcmos::util::merge_journal_file(dest, path("no-such.mtj"), {}),
                std::runtime_error);
+}
+
+TEST(Crc32, KnownAnswerAndChaining) {
+  using mtcmos::util::crc32;
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  // Every split point chains to the one-shot CRC, across the 8-byte
+  // steps and the byte-wise tail alike.
+  const std::string text = "The quick brown fox jumps over the lazy dog, twice over.";
+  const std::uint32_t whole = crc32(text.data(), text.size());
+  EXPECT_EQ(whole, 0x75D02603u);  // zlib's crc32 of the same bytes
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    EXPECT_EQ(crc32(text.data() + cut, text.size() - cut, crc32(text.data(), cut)), whole) << cut;
+  }
+}
+
+TEST_F(JournalTest, BatchWritesTheSameBytesAsSingleAppends) {
+  mtcmos::util::JournalBatch batch;
+  batch.add("a", "AA", 0);
+  batch.add("multi\nline", std::string("x\0y", 3), 1);
+  batch.add("a", "newer", 2);
+  Journal j;
+  j.open(path());
+  j.append_batch(batch);
+  EXPECT_EQ(*j.find("a"), "newer");
+  EXPECT_EQ(j.size(), 2u);
+  j.close();
+  EXPECT_EQ(slurp(path()), format_journal_record("a", "AA") +
+                               format_journal_record("multi\nline", std::string("x\0y", 3)) +
+                               format_journal_record("a", "newer"));
+  EXPECT_THROW(batch.add("", "v", 0), std::invalid_argument);
+}
+
+TEST_F(JournalTest, BatchFaultKeepsOnlyTheRecordsBeforeIt) {
+  mtcmos::util::JournalBatch batch;
+  for (int i = 0; i < 5; ++i) batch.add("k" + std::to_string(i), "v", /*scope=*/10 + i);
+  Journal j;
+  j.open(path());
+  mtcmos::faultinject::arm(mtcmos::faultinject::Site::kJournalAppend, /*scope=*/12, 1);
+  EXPECT_THROW(j.append_batch(batch), mtcmos::NumericalError);
+  EXPECT_EQ(j.size(), 2u);
+  EXPECT_EQ(j.find("k2"), nullptr);
+  j.close();
+  Journal r;
+  r.open(path());
+  EXPECT_EQ(r.replayed_records(), 2u);
+  EXPECT_EQ(r.truncated_bytes(), 0u);
+  EXPECT_EQ(*r.find("k1"), "v");
+  EXPECT_EQ(r.find("k2"), nullptr);
+}
+
+TEST_F(JournalTest, FindViewSurvivesConcurrentAppendsOfTheSameKey) {
+  // find() hands out a view into the append-only arena: a later append of
+  // the same key adds a new entry instead of rewriting the bytes a reader
+  // still holds.  Run under TSAN (label tsan) to catch a racy store.
+  Journal j;
+  j.open(path(), JournalOptions{0.0, 0});
+  j.append("hot", "value-0000");
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 1; i < 2000; ++i) {
+      char value[16];
+      std::snprintf(value, sizeof(value), "value-%04d", i);
+      j.append("hot", value);
+    }
+    stop = true;
+  });
+  std::size_t reads = 0;
+  while (!stop || reads == 0) {
+    const auto v = j.find("hot");
+    ASSERT_NE(v, nullptr);
+    const std::string copy(*v);  // read every byte after the lock is gone
+    ASSERT_EQ(copy.size(), 10u);
+    ASSERT_EQ(copy.rfind("value-", 0), 0u) << copy;
+    ++reads;
+  }
+  writer.join();
+  EXPECT_EQ(*j.find("hot"), "value-1999");
+}
+
+TEST(KeyIndex, CollidingDigestsNeverReturnAnotherKeysValue) {
+  // Every key digests to the same value: hits must still be decided by
+  // the full key bytes.
+  mtcmos::util::KeyIndex index([](std::string_view) -> std::uint64_t { return 42; });
+  for (int i = 0; i < 300; ++i) index.put("key" + std::to_string(i), std::to_string(i));
+  index.put("key7", "seven");
+  EXPECT_EQ(index.size(), 300u);
+  for (int i = 0; i < 300; ++i) {
+    const auto v = index.get("key" + std::to_string(i));
+    ASSERT_TRUE(v) << i;
+    EXPECT_EQ(*v, i == 7 ? "seven" : std::to_string(i));
+  }
+  EXPECT_FALSE(index.get("key300"));
+  std::size_t visited = 0;
+  index.for_each([&](std::string_view, std::string_view) { ++visited; });
+  EXPECT_EQ(visited, 300u);
 }
 
 }  // namespace

@@ -343,10 +343,16 @@ TEST_P(PwlProperty, IntegralIsAdditiveAndCrossingsConsistent) {
   // Every reported crossing must actually sit on the level.
   for (double level : {0.0, 0.5, 1.0}) {
     const auto c = w.crossing(level, Edge::kAny);
-    if (c) EXPECT_NEAR(w.sample(*c), level, 1e-9);
+    if (c) {
+      EXPECT_NEAR(w.sample(*c), level, 1e-9);
+    }
     const auto lc = w.last_crossing(level, Edge::kAny);
-    if (lc) EXPECT_NEAR(w.sample(*lc), level, 1e-9);
-    if (c && lc) EXPECT_LE(*c, *lc + 1e-12);
+    if (lc) {
+      EXPECT_NEAR(w.sample(*lc), level, 1e-9);
+    }
+    if (c && lc) {
+      EXPECT_LE(*c, *lc + 1e-12);
+    }
   }
 }
 
