@@ -1,10 +1,26 @@
 #include "circuits/generators.hpp"
 
 #include <string>
+#include <string_view>
 
 #include "util/error.hpp"
 
 namespace mtcmos::circuits {
+
+namespace {
+
+/// `stem` followed by the indices joined by '_' ("pp", 1, 2 -> "pp1_2"),
+/// built by appending: GCC 12 at -O3 reports a -Wrestrict false positive
+/// inside `"pp" + std::to_string(i)`.
+template <typename... Indices>
+std::string name(std::string_view stem, Indices... indices) {
+  std::string out(stem);
+  std::string_view sep;
+  ((out += sep, out += std::to_string(indices), sep = "_"), ...);
+  return out;
+}
+
+}  // namespace
 
 InverterTree make_inverter_tree(const Technology& tech, const InverterTreeOptions& options) {
   require(options.fanout >= 1, "make_inverter_tree: fanout must be >= 1");
@@ -22,9 +38,7 @@ InverterTree make_inverter_tree(const Technology& tech, const InverterTreeOption
     for (NetId drv : frontier) {
       const int copies = is_root ? 1 : options.fanout;
       for (int k = 0; k < copies; ++k) {
-        const std::string name =
-            "inv_s" + std::to_string(stage + 1) + "_" + std::to_string(idx++);
-        const NetId out = nl.add_inv(name, drv);
+        const NetId out = nl.add_inv(name("inv_s", stage + 1, idx++), drv);
         next.push_back(out);
       }
     }
@@ -43,12 +57,12 @@ RippleAdder make_ripple_adder(const Technology& tech, int nbits, double output_l
   require(nbits >= 1, "make_ripple_adder: nbits must be >= 1");
   RippleAdder adder{Netlist(tech), {}, {}, {}, -1};
   Netlist& nl = adder.netlist;
-  for (int i = 0; i < nbits; ++i) adder.a.push_back(nl.add_input("a" + std::to_string(i)));
-  for (int i = 0; i < nbits; ++i) adder.b.push_back(nl.add_input("b" + std::to_string(i)));
+  for (int i = 0; i < nbits; ++i) adder.a.push_back(nl.add_input(name("a", i)));
+  for (int i = 0; i < nbits; ++i) adder.b.push_back(nl.add_input(name("b", i)));
 
   NetId carry = nl.net("cin0");  // undriven -> constant 0 (paper: initial carry grounded)
   for (int i = 0; i < nbits; ++i) {
-    const auto fa = nl.add_mirror_fa("fa" + std::to_string(i), adder.a[static_cast<std::size_t>(i)],
+    const auto fa = nl.add_mirror_fa(name("fa", i), adder.a[static_cast<std::size_t>(i)],
                                      adder.b[static_cast<std::size_t>(i)], carry);
     adder.sum.push_back(fa.sum);
     nl.add_load(fa.sum, output_load);
@@ -63,15 +77,15 @@ CsaMultiplier make_csa_multiplier(const Technology& tech, int nbits, double outp
   require(nbits >= 2, "make_csa_multiplier: nbits must be >= 2");
   CsaMultiplier mult{Netlist(tech), {}, {}, {}};
   Netlist& nl = mult.netlist;
-  for (int i = 0; i < nbits; ++i) mult.x.push_back(nl.add_input("x" + std::to_string(i)));
-  for (int i = 0; i < nbits; ++i) mult.y.push_back(nl.add_input("y" + std::to_string(i)));
+  for (int i = 0; i < nbits; ++i) mult.x.push_back(nl.add_input(name("x", i)));
+  for (int i = 0; i < nbits; ++i) mult.y.push_back(nl.add_input(name("y", i)));
 
   // Partial products pp[i][j] = x_j & y_i  (row i weights 2^i).
   std::vector<std::vector<NetId>> pp(static_cast<std::size_t>(nbits));
   for (int i = 0; i < nbits; ++i) {
     for (int j = 0; j < nbits; ++j) {
       pp[static_cast<std::size_t>(i)].push_back(
-          nl.add_and2("pp" + std::to_string(i) + "_" + std::to_string(j),
+          nl.add_and2(name("pp", i, j),
                       mult.x[static_cast<std::size_t>(j)], mult.y[static_cast<std::size_t>(i)]));
     }
   }
@@ -94,7 +108,7 @@ CsaMultiplier make_csa_multiplier(const Technology& tech, int nbits, double outp
       // previous row at the same column.
       const NetId sum_in = (j + 1 < nbits) ? s[static_cast<std::size_t>(j + 1)] : zero;
       const auto fa =
-          nl.add_mirror_fa("csa" + std::to_string(i) + "_" + std::to_string(j),
+          nl.add_mirror_fa(name("csa", i, j),
                            pp[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)], sum_in,
                            c[static_cast<std::size_t>(j)]);
       s_next[static_cast<std::size_t>(j)] = fa.sum;
@@ -112,7 +126,7 @@ CsaMultiplier make_csa_multiplier(const Technology& tech, int nbits, double outp
   NetId ripple_carry = zero;
   for (int j = 0; j < nbits; ++j) {
     const NetId sum_in = (j + 1 < nbits) ? s[static_cast<std::size_t>(j + 1)] : zero;
-    const auto fa = nl.add_mirror_fa("vm" + std::to_string(j), sum_in,
+    const auto fa = nl.add_mirror_fa(name("vm", j), sum_in,
                                      c[static_cast<std::size_t>(j)], ripple_carry);
     mult.p.push_back(fa.sum);
     ripple_carry = fa.cout;
@@ -128,8 +142,8 @@ WallaceMultiplier make_wallace_multiplier(const Technology& tech, int nbits,
   require(nbits >= 2, "make_wallace_multiplier: nbits must be >= 2");
   WallaceMultiplier mult{Netlist(tech), {}, {}, {}, 0};
   Netlist& nl = mult.netlist;
-  for (int i = 0; i < nbits; ++i) mult.x.push_back(nl.add_input("x" + std::to_string(i)));
-  for (int i = 0; i < nbits; ++i) mult.y.push_back(nl.add_input("y" + std::to_string(i)));
+  for (int i = 0; i < nbits; ++i) mult.x.push_back(nl.add_input(name("x", i)));
+  for (int i = 0; i < nbits; ++i) mult.y.push_back(nl.add_input(name("y", i)));
   const NetId zero = nl.net("const0");
 
   // Dot matrix: columns[w] = nets of weight 2^w.
@@ -137,7 +151,7 @@ WallaceMultiplier make_wallace_multiplier(const Technology& tech, int nbits,
   for (int i = 0; i < nbits; ++i) {
     for (int j = 0; j < nbits; ++j) {
       columns[static_cast<std::size_t>(i + j)].push_back(
-          nl.add_and2("pp" + std::to_string(i) + "_" + std::to_string(j),
+          nl.add_and2(name("pp", i, j),
                       mult.x[static_cast<std::size_t>(j)], mult.y[static_cast<std::size_t>(i)]));
     }
   }
@@ -158,7 +172,7 @@ WallaceMultiplier make_wallace_multiplier(const Technology& tech, int nbits,
       int cell = 0;
       while (col.size() - i >= 3) {
         const auto fa = nl.add_mirror_fa(
-            "w" + std::to_string(layer) + "_" + std::to_string(w) + "_" + std::to_string(cell++),
+            name("w", layer, w, cell++),
             col[i], col[i + 1], col[i + 2]);
         next[w].push_back(fa.sum);
         if (w + 1 < next.size()) next[w + 1].push_back(fa.cout);
@@ -167,7 +181,7 @@ WallaceMultiplier make_wallace_multiplier(const Technology& tech, int nbits,
       if (col.size() - i == 2) {
         // Half adder: a full adder with carry-in tied low.
         const auto ha = nl.add_mirror_fa(
-            "w" + std::to_string(layer) + "_" + std::to_string(w) + "_h", col[i], col[i + 1],
+            name("w", layer, w) + "_h", col[i], col[i + 1],
             zero);
         next[w].push_back(ha.sum);
         if (w + 1 < next.size()) next[w + 1].push_back(ha.cout);
@@ -186,7 +200,7 @@ WallaceMultiplier make_wallace_multiplier(const Technology& tech, int nbits,
     const auto& col = columns[w];
     const NetId a = col.empty() ? zero : col[0];
     const NetId b = (col.size() > 1) ? col[1] : zero;
-    const auto fa = nl.add_mirror_fa("cpa" + std::to_string(w), a, b, carry);
+    const auto fa = nl.add_mirror_fa(name("cpa", w), a, b, carry);
     mult.p.push_back(fa.sum);
     carry = fa.cout;
   }
@@ -200,7 +214,7 @@ ParityTree make_parity_tree(const Technology& tech, int nbits, double output_loa
   require(nbits >= 2, "make_parity_tree: nbits must be >= 2");
   ParityTree tree{Netlist(tech), {}, -1, 0};
   Netlist& nl = tree.netlist;
-  for (int i = 0; i < nbits; ++i) tree.inputs.push_back(nl.add_input("p" + std::to_string(i)));
+  for (int i = 0; i < nbits; ++i) tree.inputs.push_back(nl.add_input(name("p", i)));
 
   std::vector<NetId> level = tree.inputs;
   const NetId zero = nl.net("const0");
@@ -210,7 +224,7 @@ ParityTree make_parity_tree(const Technology& tech, int nbits, double output_loa
     std::vector<NetId> next;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
       next.push_back(nl.add_xor2(
-          "x" + std::to_string(depth) + "_" + std::to_string(i / 2), level[i], level[i + 1]));
+          name("x", depth, i / 2), level[i], level[i + 1]));
     }
     level = std::move(next);
     ++depth;
@@ -228,7 +242,7 @@ InverterChain make_inverter_chain(const Technology& tech, int stages, double sta
   chain.input = nl.add_input("in");
   NetId prev = chain.input;
   for (int i = 0; i < stages; ++i) {
-    prev = nl.add_inv("inv" + std::to_string(i), prev);
+    prev = nl.add_inv(name("inv", i), prev);
     nl.add_load(prev, stage_load);
     chain.outputs.push_back(prev);
   }

@@ -70,9 +70,40 @@ void EvalBackend::delay_baseline_batch(const VectorPair* const* vps, std::size_t
 
 // --- Caches ---
 
+BaselineMemo::Key::Key(const VectorPair& vp) {
+  // One word: |v0| in bits 59-63, |v1| in bits 54-58, v0 in bits 27-53
+  // and v1 in bits 0-26.  Wider pairs keep both lengths, then the bits
+  // of v0 followed by those of v1.
+  constexpr std::size_t kNarrow = 27;
+  const std::size_t n0 = vp.v0.size(), n1 = vp.v1.size();
+  if (n0 <= kNarrow && n1 <= kNarrow) {
+    word = std::uint64_t{n0} << 59 | std::uint64_t{n1} << 54;
+    for (std::size_t i = 0; i < n0; ++i) word |= std::uint64_t{vp.v0[i]} << (kNarrow + i);
+    for (std::size_t i = 0; i < n1; ++i) word |= std::uint64_t{vp.v1[i]} << i;
+    return;
+  }
+  wide.assign(2 + (n0 + n1 + 63) / 64, 0);
+  wide[0] = n0;
+  wide[1] = n1;
+  for (std::size_t i = 0; i < n0 + n1; ++i) {
+    const bool bit = i < n0 ? vp.v0[i] : vp.v1[i - n0];
+    wide[2 + i / 64] |= std::uint64_t{bit} << (i % 64);
+  }
+}
+
+std::size_t BaselineMemo::KeyHash::operator()(const Key& key) const {
+  std::uint64_t h = key.word;
+  for (const std::uint64_t w : key.wide) h = (h ^ w) * 0x9E3779B97F4A7C15u;
+  // splitmix64 finalizer: every key bit reaches the bucket bits.
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9u;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBu;
+  return static_cast<std::size_t>(h ^ (h >> 31));
+}
+
 std::optional<double> BaselineMemo::find(const VectorPair& vp) {
+  const Key key(vp);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find({vp.v0, vp.v1});
+  const auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
     return std::nullopt;
@@ -83,10 +114,13 @@ std::optional<double> BaselineMemo::find(const VectorPair& vp) {
 
 std::vector<std::size_t> BaselineMemo::find_batch(const VectorPair* const* vps, std::size_t n,
                                                   Outcome<double>* out) {
+  std::vector<Key> keys;
+  keys.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) keys.emplace_back(*vps[i]);
   std::vector<std::size_t> miss;
   const std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto it = map_.find({vps[i]->v0, vps[i]->v1});
+    const auto it = map_.find(keys[i]);
     if (it != map_.end()) {
       ++hits_;
       out[i] = Outcome<double>::success(it->second);
@@ -101,7 +135,7 @@ std::vector<std::size_t> BaselineMemo::find_batch(const VectorPair* const* vps, 
 void BaselineMemo::insert(const VectorPair& vp, double delay) {
   // A concurrent duplicate computed the same deterministic value, so
   // whichever insert wins is equivalent.
-  std::pair<std::vector<bool>, std::vector<bool>> key{vp.v0, vp.v1};
+  Key key(vp);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (map_.size() >= capacity_ && map_.find(key) == map_.end()) {
     map_.erase(map_.begin());

@@ -34,6 +34,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,9 +78,10 @@ struct EvalCacheLimits {
 };
 
 /// The per-vector baseline-delay memo behind both backends: thread-safe,
-/// bounded, evicting the smallest key when full.  Only successful delays
-/// are inserted; a failed measurement is recomputed (and fails again)
-/// on the next request, exactly as it would uncached.
+/// bounded, evicting an arbitrary entry when full, and hashed on the
+/// packed bits of each pair.  Only successful delays are inserted; a
+/// failed measurement is recomputed (and fails again) on the next
+/// request, exactly as it would uncached.
 class BaselineMemo {
  public:
   explicit BaselineMemo(std::size_t capacity) : capacity_(capacity) {}
@@ -94,9 +96,21 @@ class BaselineMemo {
   void fill(CacheStats& s) const;
 
  private:
+  /// The bits of v0 and v1 with both lengths: one word when each side
+  /// has at most 27 inputs, a word array otherwise.
+  struct Key {
+    explicit Key(const VectorPair& vp);
+    bool operator==(const Key&) const = default;
+    std::uint64_t word = 0;
+    std::vector<std::uint64_t> wide;  ///< empty when `word` holds the pair
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const;
+  };
+
   std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::map<std::pair<std::vector<bool>, std::vector<bool>>, double> map_;
+  std::unordered_map<Key, double, KeyHash> map_;
   std::size_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
 

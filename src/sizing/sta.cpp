@@ -53,8 +53,9 @@ StaEngine::StaEngine(const netlist::Netlist& nl, StaOptions options)
         // A pin that can never control the output contributes no arc.
         continue;
       }
+      const auto pin_name = [](int p) { return std::string(1, 'p').append(std::to_string(p)); };
       std::ostringstream key;
-      key << gate.pulldown.serialize([](int p) { return "p" + std::to_string(p); }) << '|'
+      key << gate.pulldown.serialize(pin_name) << '|'
           << pin << '|' << gate.wn << '|' << gate.wp << '|'
           << static_cast<int>(options_.ground) << '|' << options_.sleep_wl << '|';
       for (const bool b : statics) key << (b ? '1' : '0');

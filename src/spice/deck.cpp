@@ -14,7 +14,10 @@ namespace mtcmos::spice {
 std::string spice_safe_name(const std::string& name) {
   if (name == "0") return "0";
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  // A name must not be empty or start with a digit; digits map to
+  // themselves below, so the first input character decides.
+  if (name.empty() || std::isdigit(static_cast<unsigned char>(name[0]))) out.push_back('n');
   for (const char c : name) {
     if (std::isalnum(static_cast<unsigned char>(c))) {
       out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
@@ -22,7 +25,6 @@ std::string spice_safe_name(const std::string& name) {
       out.push_back('_');
     }
   }
-  if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out.insert(0, "n");
   return out;
 }
 

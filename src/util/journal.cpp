@@ -1,6 +1,7 @@
 #include "util/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -65,22 +67,46 @@ void fsync_parent_dir(const std::string& path) {
 }
 
 constexpr std::size_t kReplayBuffer = std::size_t{1} << 20;
-constexpr std::size_t kArenaBlock = std::size_t{1} << 20;
-// An arena entry: key size and value size as native u32, then the key
-// and value bytes.
-constexpr std::size_t kEntryHeader = 2 * sizeof(std::uint32_t);
 
-std::string_view entry_key(const char* entry) {
-  std::uint32_t key_size;
-  std::memcpy(&key_size, entry, sizeof(key_size));
-  return {entry + kEntryHeader, key_size};
+// KeyIndex arena: blocks of 2^17 8-byte units (1 MiB), except that an
+// entry larger than that gets a block of its own.  An entry's position is
+// its block index << kBlockShift | its unit offset, and a slot keeps
+// position + 1 (0 = empty) in its low kPosBits, under a kTagBits digest
+// tag.  The block limit keeps position + 1 within kPosBits: 8 TiB of
+// arena, far past any memory the index could be given.
+constexpr unsigned kBlockShift = 17;
+constexpr std::size_t kBlockUnits = std::size_t{1} << kBlockShift;
+constexpr unsigned kPosBits = 40;
+constexpr unsigned kTagBits = 64 - kPosBits;
+constexpr std::uint64_t kPosMask = (std::uint64_t{1} << kPosBits) - 1;
+constexpr std::size_t kMaxBlocks = (std::size_t{1} << (kPosBits - kBlockShift)) - 1;
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
 }
 
-std::string_view entry_value(const char* entry) {
-  std::uint32_t key_size, value_size;
-  std::memcpy(&key_size, entry, sizeof(key_size));
-  std::memcpy(&value_size, entry + sizeof(key_size), sizeof(value_size));
-  return {entry + kEntryHeader + key_size, value_size};
+char* put_varint(char* out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *out++ = static_cast<char>((v & 0x7Fu) | 0x80u);
+  *out++ = static_cast<char>(v);
+  return out;
+}
+
+const char* get_varint(const char* in, std::uint64_t& v) {
+  v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const auto byte = static_cast<unsigned char>(*in++);
+    v |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
+    if (byte < 0x80) return in;
+  }
+}
+
+/// A key's prefix (through its last ':', empty without one) and suffix.
+std::pair<std::string_view, std::string_view> split_key(std::string_view key) {
+  const std::size_t colon = key.rfind(':');
+  if (colon == std::string_view::npos) return {{}, key};
+  return {key.substr(0, colon + 1), key.substr(colon + 1)};
 }
 
 // Slicing-by-8 tables: kCrcTables[0] is the byte-wise table, and
@@ -222,75 +248,158 @@ std::uint64_t KeyIndex::default_digest(std::string_view key) {
   return std::hash<std::string_view>{}(key);
 }
 
-const char* KeyIndex::store(std::string_view key, std::string_view value) {
-  const std::size_t need = kEntryHeader + key.size() + value.size();
-  if (need > left_) {
-    const std::size_t block = std::max(need, kArenaBlock);
-    blocks_.push_back(std::make_unique<char[]>(block));
-    cursor_ = blocks_.back().get();
-    left_ = block;
-  }
-  char* const entry = cursor_;
-  const auto key_size = static_cast<std::uint32_t>(key.size());
-  const auto value_size = static_cast<std::uint32_t>(value.size());
-  std::memcpy(entry, &key_size, sizeof(key_size));
-  std::memcpy(entry + sizeof(key_size), &value_size, sizeof(value_size));
-  std::memcpy(entry + kEntryHeader, key.data(), key.size());
-  std::memcpy(entry + kEntryHeader + key.size(), value.data(), value.size());
-  cursor_ += need;
-  left_ -= need;
-  return entry;
+void KeyIndex::Unmap::operator()(std::uint64_t* units) const { ::munmap(units, bytes); }
+
+KeyIndex::Pages KeyIndex::map_pages(std::size_t units) {
+  const std::size_t bytes = units * sizeof(std::uint64_t);
+  void* const pages = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  return Pages(static_cast<std::uint64_t*>(pages), Unmap{bytes});
 }
 
-std::size_t KeyIndex::probe(std::uint64_t digest, std::string_view key) const {
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t s = digest & mask;; s = (s + 1) & mask) {
-    const Slot& slot = slots_[s];
-    if (slot.entry == nullptr ||
-        (slot.digest == digest && entry_key(slot.entry) == key)) {
-      return s;
+KeyIndex::Entry KeyIndex::entry_at(std::uint64_t slot) const {
+  const std::uint64_t pos = (slot & kPosMask) - 1;
+  const char* p = reinterpret_cast<const char*>(blocks_[pos >> kBlockShift].get() +
+                                                (pos & (kBlockUnits - 1)));
+  std::uint64_t prefix, suffix_size, value_size;
+  p = get_varint(get_varint(get_varint(p, prefix), suffix_size), value_size);
+  return {static_cast<std::uint32_t>(prefix), {p, suffix_size}, {p + suffix_size, value_size}};
+}
+
+char* KeyIndex::allocate(std::size_t bytes, std::uint64_t& pos) {
+  const std::size_t units = (bytes + 7) / 8;
+  if (blocks_.empty() || units > block_units_ - block_used_) {
+    if (blocks_.size() >= kMaxBlocks) throw std::length_error("journal: index arena full");
+    const std::size_t n = std::max(units, kBlockUnits);
+    blocks_.push_back(map_pages(n));
+    block_units_ = n;
+    block_used_ = 0;
+    arena_units_ += n;
+  }
+  pos = (blocks_.size() - 1) << kBlockShift | block_used_;
+  char* const out = reinterpret_cast<char*>(blocks_.back().get() + block_used_);
+  block_used_ += units;
+  return out;
+}
+
+std::uint32_t KeyIndex::intern(std::string_view prefix) {
+  if (last_prefix_ < prefixes_.size() && prefixes_[last_prefix_] == prefix) return last_prefix_;
+  if (2 * (prefixes_.size() + 1) > prefix_slots_.size()) {
+    std::vector<std::uint32_t> slots(prefix_slots_.empty() ? 16 : 2 * prefix_slots_.size());
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t id = 0; id < prefixes_.size(); ++id) {
+      std::size_t s = std::hash<std::string_view>{}(prefixes_[id]) & mask;
+      while (slots[s] != 0) s = (s + 1) & mask;
+      slots[s] = static_cast<std::uint32_t>(id + 1);
     }
+    prefix_slots_.swap(slots);
+  }
+  const std::size_t mask = prefix_slots_.size() - 1;
+  std::size_t s = std::hash<std::string_view>{}(prefix) & mask;
+  for (; prefix_slots_[s] != 0; s = (s + 1) & mask) {
+    if (prefixes_[prefix_slots_[s] - 1] == prefix) return last_prefix_ = prefix_slots_[s] - 1;
+  }
+  if (prefixes_.size() >= UINT32_MAX) throw std::length_error("journal: too many key prefixes");
+  std::string_view stored;
+  if (!prefix.empty()) {
+    std::uint64_t pos;
+    char* const bytes = allocate(prefix.size(), pos);
+    std::memcpy(bytes, prefix.data(), prefix.size());
+    stored = {bytes, prefix.size()};
+  }
+  prefixes_.push_back(stored);
+  prefix_slots_[s] = static_cast<std::uint32_t>(prefixes_.size());
+  return last_prefix_ = static_cast<std::uint32_t>(prefixes_.size() - 1);
+}
+
+std::uint64_t KeyIndex::store(std::uint32_t prefix, std::string_view suffix,
+                              std::string_view value) {
+  std::uint64_t pos;
+  char* p = allocate(varint_size(prefix) + varint_size(suffix.size()) +
+                         varint_size(value.size()) + suffix.size() + value.size(),
+                     pos);
+  p = put_varint(put_varint(put_varint(p, prefix), suffix.size()), value.size());
+  std::memcpy(p, suffix.data(), suffix.size());
+  std::memcpy(p + suffix.size(), value.data(), value.size());
+  return pos + 1;
+}
+
+std::size_t KeyIndex::probe(std::uint64_t digest, std::string_view prefix,
+                            std::string_view suffix) const {
+  const std::uint64_t tag = digest >> kPosBits;
+  const std::size_t mask = slot_count() - 1;
+  for (std::size_t s = digest >> (64 - slot_bits_);; s = (s + 1) & mask) {
+    const std::uint64_t slot = slots_[s];
+    if (slot == 0) return s;
+    if (slot >> kPosBits != tag) continue;
+    const Entry e = entry_at(slot);
+    if (e.suffix == suffix && prefixes_[e.prefix] == prefix) return s;
   }
 }
 
 void KeyIndex::grow() {
-  std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
-  old.swap(slots_);
-  const std::size_t mask = slots_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.entry == nullptr) continue;
-    std::size_t s = slot.digest & mask;
-    while (slots_[s].entry != nullptr) s = (s + 1) & mask;
+  // A key's home slot is the top slot_bits_ bits of its digest, which
+  // the tag holds for tables up to 2^kTagBits slots; past that the
+  // digest is recomputed from the rebuilt key.
+  const std::size_t old_count = slot_count();
+  const unsigned bits = slots_ ? slot_bits_ + 1 : 6;
+  const Pages old = std::exchange(slots_, map_pages(std::size_t{1} << bits));
+  slot_bits_ = bits;
+  const std::size_t mask = slot_count() - 1;
+  std::string key;
+  for (std::size_t o = 0; o < old_count; ++o) {
+    const std::uint64_t slot = old[o];
+    if (slot == 0) continue;
+    std::size_t s;
+    if (bits <= kTagBits) {
+      s = static_cast<std::size_t>((slot >> kPosBits) >> (kTagBits - bits));
+    } else {
+      const Entry e = entry_at(slot);
+      key.assign(prefixes_[e.prefix]);
+      key.append(e.suffix);
+      s = digest_(key) >> (64 - bits);
+    }
+    while (slots_[s] != 0) s = (s + 1) & mask;
     slots_[s] = slot;
   }
 }
 
 void KeyIndex::put(std::string_view key, std::string_view value) {
-  if (2 * (size_ + 1) > slots_.size()) grow();
+  if (2 * (size_ + 1) > slot_count()) grow();
+  const auto [prefix, suffix] = split_key(key);
+  const std::uint32_t id = intern(prefix);
   const std::uint64_t digest = digest_(key);
-  Slot& slot = slots_[probe(digest, key)];
-  if (slot.entry == nullptr) ++size_;
-  slot = {digest, store(key, value)};
+  std::uint64_t& slot = slots_[probe(digest, prefix, suffix)];
+  if (slot == 0) ++size_;
+  slot = (digest >> kPosBits) << kPosBits | store(id, suffix, value);
 }
 
 JournalValue KeyIndex::get(std::string_view key) const {
-  if (slots_.empty()) return {};
-  const Slot& slot = slots_[probe(digest_(key), key)];
-  return slot.entry == nullptr ? JournalValue() : JournalValue(entry_value(slot.entry));
+  if (size_ == 0) return {};
+  const auto [prefix, suffix] = split_key(key);
+  const std::uint64_t slot = slots_[probe(digest_(key), prefix, suffix)];
+  return slot == 0 ? JournalValue() : JournalValue(entry_at(slot).value);
 }
 
 void KeyIndex::for_each(const std::function<void(std::string_view, std::string_view)>& fn) const {
-  for (const Slot& slot : slots_) {
-    if (slot.entry != nullptr) fn(entry_key(slot.entry), entry_value(slot.entry));
+  std::string key;
+  for (std::size_t s = 0; s < slot_count(); ++s) {
+    const std::uint64_t slot = slots_[s];
+    if (slot == 0) continue;
+    const Entry e = entry_at(slot);
+    key.assign(prefixes_[e.prefix]);
+    key.append(e.suffix);
+    fn(key, e.value);
   }
 }
 
-void KeyIndex::clear() {
-  slots_.clear();
-  size_ = 0;
-  blocks_.clear();
-  cursor_ = nullptr;
-  left_ = 0;
+void KeyIndex::clear() { *this = KeyIndex(digest_); }
+
+std::size_t KeyIndex::memory_bytes() const {
+  return arena_units_ * sizeof(std::uint64_t) + slot_count() * sizeof(std::uint64_t) +
+         blocks_.capacity() * sizeof(blocks_[0]) + prefixes_.capacity() * sizeof(prefixes_[0]) +
+         prefix_slots_.capacity() * sizeof(prefix_slots_[0]);
 }
 
 // --- JournalBatch ---
@@ -375,10 +484,27 @@ void Journal::open(const std::string& path, JournalOptions options) {
   }
 }
 
-void Journal::sync_locked() {
-  fsync_retry(fd_, path_);
+void Journal::sync(std::unique_lock<std::shared_mutex>& lock) {
+  // Lock order is mutex_ then sync_mutex_; an fsync in flight holds only
+  // sync_mutex_, so waiting for it here cannot deadlock.  Once it ends,
+  // the fsync below covers every record written so far, including any
+  // that one missed.
+  std::unique_lock sync_lock(sync_mutex_);
+  const std::size_t claimed = appended_since_sync_;
+  if (claimed == 0) return;
   appended_since_sync_ = 0;
   last_sync_ = std::chrono::steady_clock::now();
+  const int fd = fd_;  // compact() and close() wait for sync_mutex_ before touching it
+  lock.unlock();
+  try {
+    fsync_retry(fd, path_);
+  } catch (...) {
+    // Unclaim, so the next flush() or close() syncs again.
+    sync_lock.unlock();
+    lock.lock();
+    appended_since_sync_ += claimed;
+    throw;
+  }
 }
 
 void Journal::append(std::string_view key, std::string_view value) {
@@ -389,7 +515,7 @@ void Journal::append(std::string_view key, std::string_view value) {
 
 void Journal::append_batch(const JournalBatch& batch) {
   if (batch.empty()) return;
-  const std::unique_lock lock(mutex_);
+  std::unique_lock lock(mutex_);
   if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
   // Fault checks first, each under its record's scope: a fault keeps the
   // records before it and drops it and every record after it.
@@ -415,26 +541,27 @@ void Journal::append_batch(const JournalBatch& batch) {
     // fsync narrows kernel-crash exposure only (the write() above already
     // survives process death), so it is rate-limited: the count trigger
     // is opt-in, the time trigger caps both exposure and overhead.
-    bool sync = options_.fsync_every > 0 && appended_since_sync_ >= options_.fsync_every;
-    if (!sync && options_.fsync_interval_s > 0.0) {
-      sync = std::chrono::duration<double>(std::chrono::steady_clock::now() - last_sync_)
-                 .count() >= options_.fsync_interval_s;
+    bool due = options_.fsync_every > 0 && appended_since_sync_ >= options_.fsync_every;
+    if (!due && options_.fsync_interval_s > 0.0) {
+      due = std::chrono::duration<double>(std::chrono::steady_clock::now() - last_sync_)
+                .count() >= options_.fsync_interval_s;
     }
-    if (sync) sync_locked();
+    if (due) sync(lock);
   }
   if (fault) std::rethrow_exception(fault);
 }
 
 void Journal::flush() {
-  const std::unique_lock lock(mutex_);
-  if (fd_ < 0 || appended_since_sync_ == 0) return;
-  sync_locked();
+  std::unique_lock lock(mutex_);
+  if (fd_ >= 0) sync(lock);
 }
 
 void Journal::close() {
   const std::unique_lock lock(mutex_);
   if (fd_ < 0) return;
-  if (appended_since_sync_ > 0) sync_locked();
+  const std::lock_guard sync_lock(sync_mutex_);  // waits out an fsync in flight
+  if (appended_since_sync_ > 0) fsync_retry(fd_, path_);
+  appended_since_sync_ = 0;
   ::close(fd_);
   fd_ = -1;
 }
@@ -463,6 +590,7 @@ void Journal::for_each(
 void Journal::compact() {
   const std::unique_lock lock(mutex_);
   if (fd_ < 0) throw std::runtime_error("journal: compact on a closed journal");
+  const std::lock_guard sync_lock(sync_mutex_);  // no fsync of fd_ in flight
   const std::string tmp_path = path_ + ".compact.tmp";
   const int tmp_fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (tmp_fd < 0) throw_errno("cannot open", tmp_path);

@@ -23,10 +23,13 @@
 // values are arbitrary bytes except that keys must not be empty;
 // embedded newlines are fine because the header carries exact lengths.
 //
-// In memory, the latest value per key lives in a KeyIndex: the key and
-// value bytes of every record in an append-only arena, found through a
-// table of 64-bit key digests.  find() returns a view into that arena,
-// which no later append moves or rewrites.
+// In memory, the latest value per key lives in a KeyIndex.  Keys are
+// split at their last ':' and each distinct prefix (for checkpoint item
+// keys, "<op>:<backend>:<fp>:<wl-bits>:", shared by every item of a
+// probe) is stored once; an append-only arena holds a prefix id, the
+// suffix and the value bytes of every record, found through a table of
+// 8-byte slots (arena position plus a digest tag).  find() returns a view
+// into that arena, which no later append moves or rewrites.
 //
 // Durability: appends are written to the fd immediately (they survive
 // process death -- SIGKILL, OOM kill, abort -- without any flush).
@@ -36,7 +39,11 @@
 // both the exposure window and the overhead on sweeps whose items are
 // cheaper than an fsync.  fsync_every adds a count-based trigger on top,
 // checked after each batch; fsync_every = 1 with one record per batch
-// gives per-record durability.
+// gives per-record durability.  The append that finds a sync due claims
+// it under the lock and runs the fsync after releasing it, so other
+// workers' appends and lookups never wait on the disk; a separate sync
+// mutex keeps compact() and close() from swapping or closing the fd
+// while that fsync runs.
 //
 // Thread safety: append()/append_batch()/flush()/compact() are
 // serialized and safe to call from pool workers -- a compaction racing
@@ -51,6 +58,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -89,12 +97,18 @@ class JournalValue {
   bool found_ = false;
 };
 
-/// The latest value per key: every put() copies the key and value bytes
-/// into an append-only arena of fixed blocks, and an open-addressing
-/// table maps a 64-bit digest of each key to its latest entry.  A lookup
-/// is a hit only once the full key bytes match, so keys whose digests
-/// collide stay distinct.  Superseded values stay in the arena until
-/// clear().  Not synchronized (Journal guards it with its lock).
+/// The latest value per key.  put() splits the key at its last ':' (a
+/// key without one has the empty prefix) and interns the prefix, so a
+/// prefix shared by many keys is stored once.  Each record becomes one
+/// arena entry -- prefix id, suffix size and value size as varints, then
+/// the suffix and value bytes -- in append-only blocks of 8-byte units
+/// mapped from the OS.  An open-addressing table of 8-byte slots maps each key to its latest
+/// entry: a slot packs the entry's 40-bit arena position with a 24-bit
+/// tag, the top bits of the key's 64-bit digest.  A lookup is a hit only
+/// once the full key matches (same prefix bytes, same suffix bytes), so
+/// keys whose digests collide stay distinct.  Superseded values stay in
+/// the arena until clear().  Not synchronized (Journal guards it with its
+/// lock).
 class KeyIndex {
  public:
   using Digest = std::uint64_t (*)(std::string_view key);
@@ -106,26 +120,53 @@ class KeyIndex {
   void put(std::string_view key, std::string_view value);
   JournalValue get(std::string_view key) const;
   std::size_t size() const { return size_; }
-  /// Visit the latest value per key (unspecified order).
+  /// Visit the latest value per key (unspecified order).  The key view
+  /// is rebuilt into a scratch buffer and is valid only during the call.
   void for_each(const std::function<void(std::string_view, std::string_view)>& fn) const;
   void clear();
+  /// Bytes held: arena blocks, slot table and prefix table.
+  std::size_t memory_bytes() const;
 
  private:
-  struct Slot {
-    std::uint64_t digest = 0;
-    const char* entry = nullptr;  ///< arena entry; nullptr = empty slot
+  struct Entry {
+    std::uint32_t prefix;
+    std::string_view suffix;
+    std::string_view value;
   };
+  /// Zero-filled pages mapped straight from the OS, faulted in by the
+  /// mapping call itself rather than one page at a time, and unmapped on
+  /// release: a cleared or destroyed index hands its memory back at once
+  /// instead of to malloc's per-thread arenas, where the next index (built
+  /// by other worker threads) may not reuse it.
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::uint64_t* units) const;
+  };
+  using Pages = std::unique_ptr<std::uint64_t[], Unmap>;
+  static Pages map_pages(std::size_t units);
 
-  const char* store(std::string_view key, std::string_view value);
-  std::size_t probe(std::uint64_t digest, std::string_view key) const;
+  std::size_t slot_count() const { return slots_ ? std::size_t{1} << slot_bits_ : 0; }
+
+  Entry entry_at(std::uint64_t slot) const;
+  /// Room for `bytes` at the arena's next 8-byte unit; sets its position.
+  char* allocate(std::size_t bytes, std::uint64_t& pos);
+  std::uint32_t intern(std::string_view prefix);
+  /// Append one entry; returns its position + 1 (a slot's low bits).
+  std::uint64_t store(std::uint32_t prefix, std::string_view suffix, std::string_view value);
+  std::size_t probe(std::uint64_t digest, std::string_view prefix, std::string_view suffix) const;
   void grow();
 
   Digest digest_;
-  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  Pages slots_;  ///< 2^slot_bits_ slots, at most half full; 0 = empty
+  unsigned slot_bits_ = 0;
   std::size_t size_ = 0;
-  std::vector<std::unique_ptr<char[]>> blocks_;
-  char* cursor_ = nullptr;
-  std::size_t left_ = 0;
+  std::vector<Pages> blocks_;                ///< arena, in 8-byte units
+  std::size_t block_used_ = 0;               ///< units used in blocks_.back()
+  std::size_t block_units_ = 0;              ///< units in blocks_.back()
+  std::size_t arena_units_ = 0;              ///< units mapped over all blocks
+  std::vector<std::string_view> prefixes_;   ///< by id; bytes live in the arena
+  std::vector<std::uint32_t> prefix_slots_;  ///< open addressing; id + 1, 0 = empty
+  std::uint32_t last_prefix_ = 0;            ///< put()'s one-entry intern cache
 };
 
 /// Records formatted off the journal's lock for one append_batch():
@@ -177,7 +218,8 @@ class Journal {
   /// only the records before it, then throws.
   void append_batch(const JournalBatch& batch);
 
-  /// fsync the fd (no-op when nothing was appended since the last sync).
+  /// fsync the fd: waits out an fsync in flight, then syncs whatever it
+  /// did not cover (no-op when nothing was appended since).
   void flush();
 
   /// Close the fd (flushing first).  Replayed state stays queryable.
@@ -199,12 +241,17 @@ class Journal {
   void compact();
 
  private:
-  void sync_locked();
+  /// Claim every pending record under `lock` (held on entry, released
+  /// on return) and fsync them outside it, holding only sync_mutex_.
+  void sync(std::unique_lock<std::shared_mutex>& lock);
 
   std::string path_;
   JournalOptions options_;
   int fd_ = -1;
   mutable std::shared_mutex mutex_;
+  /// Held for each fsync; compact() and close() take it (after mutex_)
+  /// before they swap or close fd_.
+  std::mutex sync_mutex_;
   KeyIndex index_;
   std::size_t appended_since_sync_ = 0;
   std::chrono::steady_clock::time_point last_sync_ = {};

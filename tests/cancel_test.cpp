@@ -200,7 +200,8 @@ TEST_F(Cancel, SigtermDuringCompactLeavesAValidJournal) {
     util::Journal j;
     j.open(jpath);
     for (int i = 0; i < 200; ++i) {
-      j.append("key" + std::to_string(i % 50), "v" + std::to_string(i));
+      j.append(std::string("key").append(std::to_string(i % 50)),
+               std::string(1, 'v').append(std::to_string(i)));
     }
     std::thread signaller([] {
       std::this_thread::sleep_for(std::chrono::microseconds(100));

@@ -245,7 +245,7 @@ TEST_F(CheckpointTest, DoubleOutcomeRoundTripsToTheLastUlp) {
   const double values[] = {0.1 + 0.2, 1e-300, -0.0, 3.5e9, 1.0 / 3.0};
   int i = 0;
   for (const double v : values) {
-    const std::string key = "k" + std::to_string(i++);
+    const std::string key = std::string(1, 'k').append(std::to_string(i++));
     ckpt.record(key, Outcome<double>::success(v, 2));
     Outcome<double> back;
     ASSERT_TRUE(ckpt.lookup(key, back)) << key;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -49,6 +51,35 @@ class JournalTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+/// "t<t>:<i>", built by appending: GCC 12 at -O3 reports a -Wrestrict
+/// false positive inside `"t" + std::to_string(t) + ...`.
+std::string thread_key(int t, int i) {
+  std::string key(1, 't');
+  key += std::to_string(t);
+  key += ':';
+  key += std::to_string(i);
+  return key;
+}
+
+/// A checkpoint item key's shape: a 44-byte "probe:vbs:<fp>:<wl-bits>:"
+/// prefix (one per `probe`) and a 17-byte "<v0>-<v1>" suffix.
+std::string item_key(unsigned probe, unsigned item) {
+  char key[64];
+  std::snprintf(key, sizeof(key), "probe:vbs:00f1e2d3c4b5a697:%016x:%08x-%08x", probe, item,
+                item ^ 0x5A5Au);
+  return key;
+}
+
+/// Every (key, value) a journal holds, sorted.
+std::vector<std::pair<std::string, std::string>> contents(const Journal& j) {
+  std::vector<std::pair<std::string, std::string>> all;
+  j.for_each([&](const std::string& key, const std::string& value) {
+    all.emplace_back(key, value);
+  });
+  std::sort(all.begin(), all.end());
+  return all;
+}
 
 TEST_F(JournalTest, AppendFindRoundTrip) {
   Journal j;
@@ -240,7 +271,7 @@ TEST_F(JournalTest, ConcurrentAppendsAllSurvive) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&j, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        j.append("t" + std::to_string(t) + ":" + std::to_string(i), std::to_string(i));
+        j.append(thread_key(t, i), std::to_string(i));
       }
     });
   }
@@ -265,7 +296,7 @@ TEST_F(JournalTest, CompactRacingConcurrentAppendsLosesNothing) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&j, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        j.append("t" + std::to_string(t) + ":" + std::to_string(i), std::to_string(i));
+        j.append(thread_key(t, i), std::to_string(i));
         j.append("hot", std::to_string(t * kPerThread + i));  // contended key
       }
     });
@@ -289,8 +320,8 @@ TEST_F(JournalTest, CompactRacingConcurrentAppendsLosesNothing) {
   EXPECT_EQ(r.replayed_records(), r.size());
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      const auto v = r.find("t" + std::to_string(t) + ":" + std::to_string(i));
-      ASSERT_NE(v, nullptr) << "t" << t << ":" << i;
+      const auto v = r.find(thread_key(t, i));
+      ASSERT_NE(v, nullptr) << thread_key(t, i);
       EXPECT_EQ(*v, std::to_string(i));
     }
   }
@@ -513,20 +544,146 @@ TEST_F(JournalTest, FindViewSurvivesConcurrentAppendsOfTheSameKey) {
 
 TEST(KeyIndex, CollidingDigestsNeverReturnAnotherKeysValue) {
   // Every key digests to the same value: hits must still be decided by
-  // the full key bytes.
+  // the full key bytes -- the suffix within a shared prefix, and the
+  // prefix between keys whose suffixes are equal.
   mtcmos::util::KeyIndex index([](std::string_view) -> std::uint64_t { return 42; });
   for (int i = 0; i < 300; ++i) index.put("key" + std::to_string(i), std::to_string(i));
+  for (unsigned i = 0; i < 300; ++i) index.put(item_key(1, i), "p1-" + std::to_string(i));
+  for (unsigned i = 0; i < 300; ++i) index.put(item_key(2, i), "p2-" + std::to_string(i));
   index.put("key7", "seven");
-  EXPECT_EQ(index.size(), 300u);
-  for (int i = 0; i < 300; ++i) {
+  index.put(item_key(2, 7), "p2-seven");
+  EXPECT_EQ(index.size(), 900u);
+  for (unsigned i = 0; i < 300; ++i) {
     const auto v = index.get("key" + std::to_string(i));
     ASSERT_TRUE(v) << i;
     EXPECT_EQ(*v, i == 7 ? "seven" : std::to_string(i));
+    const auto v1 = index.get(item_key(1, i));
+    ASSERT_TRUE(v1) << i;
+    EXPECT_EQ(*v1, "p1-" + std::to_string(i));
+    const auto v2 = index.get(item_key(2, i));
+    ASSERT_TRUE(v2) << i;
+    EXPECT_EQ(*v2, i == 7 ? "p2-seven" : "p2-" + std::to_string(i));
   }
   EXPECT_FALSE(index.get("key300"));
+  EXPECT_FALSE(index.get(item_key(1, 300)));
+  EXPECT_FALSE(index.get(item_key(3, 0)));
   std::size_t visited = 0;
   index.for_each([&](std::string_view, std::string_view) { ++visited; });
-  EXPECT_EQ(visited, 300u);
+  EXPECT_EQ(visited, 900u);
+}
+
+TEST(KeyIndex, PrefixSplitEdgeCases) {
+  // The index splits each key at its last ':'.  Keys without one, keys
+  // ending in one, a key that is only ':' and keys that differ only in
+  // their prefix must all stay distinct and come back whole.
+  const std::vector<std::pair<std::string, std::string>> records = {
+      {"plain", "no colon"}, {"ends:", "empty suffix"}, {":", "only a colon"},
+      {"::", "two colons"},  {":x", "empty prefix"},    {"a:x", "prefix a"},
+      {"b:x", "prefix b"},   {"a:b:x", "nested"},       {"ab:x", "longer prefix"},
+      {"x", "suffix alone"}, {"", "empty key"},         {"a:", "prefix a, no suffix"},
+  };
+  mtcmos::util::KeyIndex index;
+  for (const auto& [key, value] : records) index.put(key, value);
+  EXPECT_EQ(index.size(), records.size());
+  for (const auto& [key, value] : records) {
+    const auto v = index.get(key);
+    ASSERT_TRUE(v) << '"' << key << '"';
+    EXPECT_EQ(*v, value) << '"' << key << '"';
+  }
+  EXPECT_FALSE(index.get("c:x"));
+  EXPECT_FALSE(index.get("a:y"));
+  EXPECT_FALSE(index.get(":::"));
+  std::vector<std::pair<std::string, std::string>> visited;
+  index.for_each([&](std::string_view key, std::string_view value) {
+    visited.emplace_back(std::string(key), std::string(value));
+  });
+  std::sort(visited.begin(), visited.end());
+  auto expected = records;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(visited, expected);
+}
+
+TEST(KeyIndex, ItemShapedRecordsStayUnder90BytesEach) {
+  // 100,000 checkpoint-shaped records: a 44-byte prefix shared by 50,000
+  // keys each, a 17-byte suffix and a 21-byte value.  Storing the prefix
+  // once and using 8-byte slots keeps the whole index (arena, slots and
+  // prefix table) within 90 bytes per record; storing every key whole
+  // behind 16-byte slots took about 136.
+  constexpr unsigned kRecords = 100000;
+  mtcmos::util::KeyIndex index;
+  const std::string value(21, 'v');
+  for (unsigned i = 0; i < kRecords; ++i) index.put(item_key(i % 2, i), value);
+  ASSERT_EQ(index.size(), kRecords);
+  EXPECT_EQ(item_key(0, 0).size(), 44u + 17u);
+  const double per_record = static_cast<double>(index.memory_bytes()) / kRecords;
+  EXPECT_LE(per_record, 90.0);
+  EXPECT_EQ(*index.get(item_key(1, 12345)), value);
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.memory_bytes(), 0u);
+  EXPECT_FALSE(index.get(item_key(1, 12345)));
+}
+
+TEST_F(JournalTest, CompactedJournalReplaysTheSameKeyValueSet) {
+  Journal j;
+  j.open(path());
+  for (unsigned probe = 0; probe < 4; ++probe) {
+    for (unsigned i = 0; i < 500; ++i) j.append(item_key(probe, i), std::to_string(probe * i));
+  }
+  for (unsigned i = 0; i < 500; i += 7) j.append(item_key(1, i), "updated");
+  j.append("plain", "no colon");
+  j.append(":", "only a colon");
+  j.append("ends:", std::string("bin\0ary\n", 8));
+  const auto before = contents(j);
+  ASSERT_EQ(before.size(), 2003u);
+  j.compact();
+  EXPECT_EQ(contents(j), before);
+  j.close();
+  Journal r;
+  r.open(path());
+  EXPECT_EQ(r.replayed_records(), before.size());
+  EXPECT_EQ(r.truncated_bytes(), 0u);
+  EXPECT_EQ(contents(r), before);
+}
+
+TEST_F(JournalTest, TimedFsyncRacingCompactAndFlushLosesNothing) {
+  // With a tiny fsync interval nearly every batch syncs, and the fsync
+  // runs outside the journal lock: appends, lookups, flush() and the fd
+  // swap in compact() all race it.  Run under TSAN (label tsan).
+  Journal j;
+  j.open(path(), JournalOptions{1e-9, 0});
+  constexpr int kThreads = 4, kPerThread = 100;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&j, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        j.append(thread_key(t, i), std::to_string(i));
+        EXPECT_NE(j.find(thread_key(t, i)), nullptr);
+      }
+    });
+  }
+  std::thread compactor([&j] {
+    for (int c = 0; c < 10; ++c) {
+      j.compact();
+      j.flush();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (auto& w : workers) w.join();
+  compactor.join();
+  j.close();
+
+  Journal r;
+  r.open(path());
+  EXPECT_EQ(r.truncated_bytes(), 0u);
+  EXPECT_EQ(r.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const auto v = r.find(thread_key(t, i));
+      ASSERT_NE(v, nullptr) << thread_key(t, i);
+      EXPECT_EQ(*v, std::to_string(i));
+    }
+  }
 }
 
 }  // namespace

@@ -367,7 +367,7 @@ netlist::Netlist random_netlist(Rng& rng, int n_inputs, int n_gates) {
   std::vector<netlist::NetId> nets;
   for (int i = 0; i < n_inputs; ++i) nets.push_back(nl.add_input("in" + std::to_string(i)));
   for (int g = 0; g < n_gates; ++g) {
-    const std::string name = "g" + std::to_string(g);
+    const std::string name = std::string(1, 'g').append(std::to_string(g));
     auto pick = [&] {
       return nets[static_cast<std::size_t>(rng.uniform_int(0, nets.size() - 1))];
     };
